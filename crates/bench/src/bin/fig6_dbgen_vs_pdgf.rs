@@ -60,7 +60,7 @@ fn pdgf_run(sf: f64, workers: usize, to_null: bool, dir: &Path) -> (f64, u64) {
                 .total_bytes()
         } else {
             project
-                .generate_to_dir(dir.join(format!("pdgf-{sf}")), OutputFormat::Csv)
+                .generate_to_dir(dir.join(format!("pdgf-{sf}")), OutputFormat::Csv, None)
                 .expect("generation")
                 .total_bytes()
         }

@@ -2,7 +2,10 @@
 //!
 //! Measures rows/s and MB/s at 1/2/4/8 workers and writes the series to
 //! `BENCH_throughput.json` so the performance trajectory of the output
-//! path is tracked across PRs. A prior run's JSON can be passed via
+//! path is tracked across PRs. The columnar-speedup A/B runs the engine's
+//! columnar package body against the row reference renderer
+//! ([`render_reference`]) through one bench-local pool, so the package
+//! body is the only variable. A prior run's JSON can be passed via
 //! `BENCH_BASELINE=<path>`; it is embedded verbatim under `"baseline"`
 //! and per-worker speedups are reported.
 //!
@@ -24,8 +27,14 @@
 
 use bench::{banner, check, check_scaling, env_f64, env_usize, host_cores, timed};
 use pdgf::{OutputFormat, Pdgf};
-use pdgf_output::{CsvFormatter, NullSink};
-use pdgf_runtime::{generate_table_range, Observability, PhaseStats, RunConfig, Telemetry};
+use pdgf_gen::{GenScratch, SchemaRuntime};
+use pdgf_output::{BufferPool, CsvFormatter, Formatter, NullSink, ReorderBuffer, Sink};
+use pdgf_runtime::handoff::{channel, TicketCounter};
+use pdgf_runtime::{
+    generate_table_range, packages_for, render_reference, table_meta, Framing, Observability,
+    PhaseStats, RunConfig, TableJob, Telemetry,
+};
+use pdgf_schema::ColumnBatch;
 use workloads::tpch;
 
 struct Point {
@@ -56,24 +65,19 @@ impl Point {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn measure(
-    rt: &pdgf_gen::SchemaRuntime,
+    rt: &SchemaRuntime,
     table: u32,
     size: u64,
     workers: usize,
     package_rows: u64,
     repeats: usize,
     telemetry: Option<&Telemetry>,
-    columnar: bool,
 ) -> Point {
     let mut best: Option<Point> = None;
     for _ in 0..repeats {
         let mut sink = NullSink::new();
-        let cfg = RunConfig::new()
-            .workers(workers)
-            .package_rows(package_rows)
-            .columnar(columnar);
+        let cfg = RunConfig::new().workers(workers).package_rows(package_rows);
         let t = timed(|| {
             generate_table_range(
                 rt,
@@ -98,6 +102,125 @@ fn measure(
         }
     }
     best.expect("at least one repeat")
+}
+
+/// The package body under test in the columnar-speedup A/B.
+#[derive(Clone, Copy)]
+enum Body {
+    /// The row reference renderer: one `row_into` + `Formatter::row` per row.
+    Row,
+    /// The engine's body: `fill_batch`, then `Formatter::rows_columnar`.
+    Columnar,
+}
+
+/// Generate rows `0..size` of `table` as CSV into a null sink on a
+/// bench-local pool built like the scheduler's (ticket counter, handoff
+/// channel, `ReorderBuffer`, `BufferPool`, proven-bound buffer sizing),
+/// rendering every package with `body`. Both sides of the A/B share
+/// everything else.
+fn measure_body(
+    rt: &SchemaRuntime,
+    table: u32,
+    size: u64,
+    workers: usize,
+    package_rows: u64,
+    body: Body,
+) -> Point {
+    let formatter = CsvFormatter::new();
+    let meta = table_meta(rt, table);
+    let row_bound = formatter.max_row_bytes(&meta, &rt.profiles()[table as usize]);
+    let packages = packages_for(table, 0, 0..size, package_rows);
+    let tickets = TicketCounter::new(packages.len() as u64);
+    let depth = workers * 4;
+    let (tx, rx) = channel::<(u64, u64, Vec<u8>)>(depth);
+    let pool = BufferPool::new(depth + workers + 1);
+    let mut reorder = ReorderBuffer::new();
+    let mut sink = NullSink::new();
+    let mut rows = 0;
+    let t = timed(|| {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let (tickets, pool, packages, meta, formatter) =
+                    (&tickets, &pool, &packages, &meta, &formatter);
+                scope.spawn(move || {
+                    let mut batch = ColumnBatch::new();
+                    let mut scratch = GenScratch::default();
+                    while let Some(i) = tickets.claim() {
+                        let p = &packages[i as usize];
+                        let want = row_bound
+                            .map_or(0, |b| b.saturating_mul(p.len()).min(64 << 20) as usize);
+                        let mut out = pool.take_with_capacity(want);
+                        match body {
+                            Body::Row => {
+                                let job = TableJob {
+                                    table,
+                                    update: 0,
+                                    rows: p.rows.clone(),
+                                    framing: Framing::none(),
+                                };
+                                render_reference(rt, &job, formatter, &mut out);
+                            }
+                            Body::Columnar => {
+                                rt.fill_batch(table, 0, p.rows.clone(), &mut batch, &mut scratch);
+                                formatter.rows_columnar(&mut out, meta, &batch);
+                            }
+                        }
+                        if tx.send((p.seq, p.len(), out)).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            for (seq, n, buf) in rx {
+                let mut ready = reorder.push(seq, (n, buf));
+                while let Some((n, buf)) = ready {
+                    sink.write_chunk(&buf)
+                        .expect("null sink accepts every chunk");
+                    rows += n;
+                    pool.put(buf);
+                    ready = reorder.pop_ready();
+                }
+            }
+        })
+    });
+    Point {
+        workers,
+        rows,
+        bytes: sink.bytes_written(),
+        seconds: t.seconds,
+    }
+}
+
+/// Best of `repeats` interleaved A/B pairs: (row reference, columnar).
+/// Interleaving lets host drift cancel out of the ratio.
+fn columnar_ab(
+    rt: &SchemaRuntime,
+    table: u32,
+    size: u64,
+    workers: usize,
+    package_rows: u64,
+    repeats: usize,
+) -> (Point, Point) {
+    let run = |body| measure_body(rt, table, size, workers, package_rows, body);
+    let (mut row, mut col) = (run(Body::Row), run(Body::Columnar));
+    for _ in 1..repeats {
+        let r = run(Body::Row);
+        if r.seconds < row.seconds {
+            row = r;
+        }
+        let c = run(Body::Columnar);
+        if c.seconds < col.seconds {
+            col = c;
+        }
+    }
+    assert_eq!(
+        (row.rows, row.bytes),
+        (col.rows, col.bytes),
+        "both package bodies render the same bytes"
+    );
+    (row, col)
 }
 
 fn phase_json(p: &PhaseStats) -> String {
@@ -200,12 +323,12 @@ fn main() {
     println!("lineitem rows: {size} (SF {sf}), package_rows {package_rows}, best of {repeats}, host cores {cores}\n");
 
     // Warm-up pass (touches dictionaries, markov models, seed caches).
-    let _ = measure(rt, table, size.min(10_000), 1, package_rows, 1, None, true);
+    let _ = measure(rt, table, size.min(10_000), 1, package_rows, 1, None);
 
     println!("{:>8} {:>14} {:>12}", "workers", "rows/s", "MB/s");
     let mut series = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        let p = measure(rt, table, size, workers, package_rows, repeats, None, true);
+        let p = measure(rt, table, size, workers, package_rows, repeats, None);
         println!(
             "{:>8} {:>14.0} {:>12.2}",
             p.workers,
@@ -215,25 +338,14 @@ fn main() {
         series.push(p);
     }
 
-    // Columnar vs row path A/B at a fixed width: same schema, formatter,
-    // sink, and worker count — the only variable is the generation path.
-    // Repeats are interleaved so host drift cancels out of the ratio.
+    // Columnar vs row reference A/B at a fixed width: same schema,
+    // formatter, sink, pool, and worker count — the only variable is the
+    // package body.
     let ab_workers = 4usize;
-    let mut row_path = measure(rt, table, size, ab_workers, package_rows, 1, None, false);
-    let mut col_path = measure(rt, table, size, ab_workers, package_rows, 1, None, true);
-    for _ in 1..repeats {
-        let r = measure(rt, table, size, ab_workers, package_rows, 1, None, false);
-        if r.seconds < row_path.seconds {
-            row_path = r;
-        }
-        let c = measure(rt, table, size, ab_workers, package_rows, 1, None, true);
-        if c.seconds < col_path.seconds {
-            col_path = c;
-        }
-    }
+    let (row_path, col_path) = columnar_ab(rt, table, size, ab_workers, package_rows, repeats);
     let columnar_speedup = col_path.rows_per_s() / row_path.rows_per_s();
     println!(
-        "\ncolumnar @{ab_workers}w: {:.0} rows/s vs row path {:.0} rows/s ({columnar_speedup:.2}x)",
+        "\ncolumnar @{ab_workers}w: {:.0} rows/s vs row reference {:.0} rows/s ({columnar_speedup:.2}x)",
         col_path.rows_per_s(),
         row_path.rows_per_s()
     );
@@ -252,14 +364,14 @@ fn main() {
         }
         lines
     });
-    let mut plain = measure(rt, table, size, 8, package_rows, 1, None, true);
-    let mut observed = measure(rt, table, size, 8, package_rows, 1, Some(&telemetry), true);
+    let mut plain = measure(rt, table, size, 8, package_rows, 1, None);
+    let mut observed = measure(rt, table, size, 8, package_rows, 1, Some(&telemetry));
     for _ in 1..repeats {
-        let p = measure(rt, table, size, 8, package_rows, 1, None, true);
+        let p = measure(rt, table, size, 8, package_rows, 1, None);
         if p.seconds < plain.seconds {
             plain = p;
         }
-        let o = measure(rt, table, size, 8, package_rows, 1, Some(&telemetry), true);
+        let o = measure(rt, table, size, 8, package_rows, 1, Some(&telemetry));
         if o.seconds < observed.seconds {
             observed = o;
         }
@@ -399,7 +511,7 @@ fn main() {
         "columnar-speedup",
         columnar_speedup >= 1.3,
         &format!(
-            "{:.0} rows/s columnar vs {:.0} rows/s row path @{ab_workers}w \
+            "{:.0} rows/s columnar vs {:.0} rows/s row reference @{ab_workers}w \
              ({columnar_speedup:.2}x, need >= 1.30x)",
             col_path.rows_per_s(),
             row_path.rows_per_s()

@@ -9,7 +9,9 @@
 //! is generated, it is sent to the output system, where it can be
 //! formatted and sorted."
 //!
-//! * [`package`] — work packages and row-range partitioning,
+//! * [`package`] — work packages, row-range partitioning, and the one
+//!   package renderer every engine shares (plus the row reference
+//!   renderer the identity suites check it against),
 //! * [`scheduler`] — the single-node worker pool with sorted output,
 //! * [`meta`] — the meta-scheduler: sharding a project across nodes,
 //! * [`update`] — the update black box: deterministic insert/update/
@@ -54,7 +56,8 @@ pub use metrics::{
 };
 pub use monitor::{Monitor, Snapshot, TableHandle, TableSnapshot};
 pub use package::{
-    packages_for, packages_for_jobs, Framing, ProjectPackage, TableJob, WorkPackage,
+    packages_for, packages_for_jobs, render_reference, Framing, ProjectPackage, TableJob,
+    WorkPackage,
 };
 pub use scheduler::{
     available_workers, generate_table_range, run_project, table_meta, RunConfig, TableRunStats,

@@ -1,15 +1,29 @@
-//! Work packages: the scheduler's unit of work.
+//! Work packages: the unit of work of every engine, and its renderer.
 //!
 //! "A work package is a set of rows of a table that need to be generated."
 //! Packages are contiguous row ranges; their sequence number doubles as
-//! the sort key for ordered output. Since the scheduler went project-wide
-//! the queue spans every table (and update epoch) of a run: a [`TableJob`]
-//! describes one table shard with its framing obligations, and
-//! [`packages_for_jobs`] flattens a whole project into one global package
-//! list whose entries are keyed by `(job, seq)` — `job` routes a finished
-//! package to its sink, `seq` sorts it within that sink's stream.
+//! the sort key for ordered output. A [`TableJob`] describes one table
+//! shard with its framing obligations — a batch file, a node shard and a
+//! served range are all jobs — and [`TableJob::package`] addresses its
+//! packages by sequence number, handing the job's `begin` framing to the
+//! first package and its `end` framing to the last.
+//!
+//! PDGF's seeding hierarchy makes a package a pure function of (model,
+//! table, update, row range, framing), so one function renders it for
+//! every engine: [`render_package`] is the package body of both the batch
+//! scheduler ([`crate::run_project`], inline and pooled) and the row
+//! service ([`crate::serve`]). [`render_reference`] is the row-at-a-time
+//! oracle no engine calls; the identity suites compare every engine
+//! against it.
 
 use std::ops::Range;
+
+use pdgf_gen::{GenScratch, SchemaRuntime};
+use pdgf_output::{Formatter, TableMeta};
+use pdgf_schema::ColumnBatch;
+
+use crate::metrics::{now_ns, PackageTimings, WorkerPhases};
+use crate::scheduler::table_meta;
 
 /// A contiguous run of rows of one table at one update epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,6 +131,39 @@ impl TableJob {
             framing,
         }
     }
+
+    /// Packages this job renders at `package_rows` rows each. A rowless
+    /// job that owns framing still renders one empty package, which
+    /// carries its `begin`/`end` bytes.
+    pub fn package_count(&self, package_rows: u64) -> u64 {
+        let rows = self.rows.end.saturating_sub(self.rows.start);
+        match rows.div_ceil(package_rows) {
+            0 if self.framing.begin || self.framing.end => 1,
+            n => n,
+        }
+    }
+
+    /// Package `seq` of this job: its rows, and the share of the job's
+    /// framing it carries — `begin` on the first package, `end` on the
+    /// last.
+    pub fn package(&self, seq: u64, package_rows: u64) -> (WorkPackage, Framing) {
+        let start = seq
+            .saturating_mul(package_rows)
+            .saturating_add(self.rows.start)
+            .min(self.rows.end);
+        let end = start.saturating_add(package_rows).min(self.rows.end);
+        let framing = Framing {
+            begin: self.framing.begin && seq == 0,
+            end: self.framing.end && seq + 1 == self.package_count(package_rows),
+        };
+        let pkg = WorkPackage {
+            seq,
+            table: self.table,
+            update: self.update,
+            rows: start..end,
+        };
+        (pkg, framing)
+    }
 }
 
 /// A work package within a project run: the job index routes the output,
@@ -175,6 +222,115 @@ pub fn packages_for_jobs(jobs: &[TableJob], package_rows: u64) -> Vec<ProjectPac
         }
     }
     out
+}
+
+/// Reusable per-worker buffers: the column batch and the generator
+/// scratch. One lives on the inline thread and one in each pool or serve
+/// worker; after warm-up a package allocates nothing.
+#[derive(Default)]
+pub(crate) struct WorkerState {
+    pub(crate) batch: ColumnBatch,
+    pub(crate) scratch: GenScratch,
+}
+
+/// Cap on statically sized package buffers: a proven-but-huge bound (wide
+/// rows × large packages) must not balloon a single allocation; past this
+/// size ordinary growth takes over.
+const MAX_PREALLOC_BYTES: u64 = 64 << 20;
+
+/// Up-front capacity for one package buffer: the proven per-row bound
+/// times the package's rows, capped at [`MAX_PREALLOC_BYTES`]. Zero (no
+/// reservation) when the bound is unknown.
+pub(crate) fn package_capacity_hint(row_bound: Option<u64>, rows: u64) -> usize {
+    row_bound
+        .and_then(|b| b.checked_mul(rows))
+        .map_or(0, |b| b.min(MAX_PREALLOC_BYTES) as usize)
+}
+
+/// Render one package into `out`: generate its rows column by column into
+/// a typed [`ColumnBatch`], then write the package's framing share around
+/// the formatter's [`rows_columnar`](Formatter::rows_columnar) transpose.
+/// Byte-identical to [`render_reference`] by the kernel and formatter
+/// contracts.
+///
+/// With `phases` the package is timed at its natural boundaries (fill,
+/// then format) and the per-row averages feed the worker's histograms —
+/// three clock reads per package. Without it the clock is never read.
+#[allow(clippy::too_many_arguments)] // the package coordinates are the API
+pub(crate) fn render_package(
+    rt: &SchemaRuntime,
+    formatter: &dyn Formatter,
+    meta: &TableMeta,
+    pkg: &WorkPackage,
+    framing: Framing,
+    state: &mut WorkerState,
+    out: &mut Vec<u8>,
+    phases: Option<&WorkerPhases>,
+) -> PackageTimings {
+    let clock = || phases.map(|_| now_ns());
+    let started = clock();
+    rt.fill_batch(
+        pkg.table,
+        pkg.update,
+        pkg.rows.clone(),
+        &mut state.batch,
+        &mut state.scratch,
+    );
+    let filled = clock();
+    if framing.begin {
+        formatter.begin(out, meta);
+    }
+    formatter.rows_columnar(out, meta, &state.batch);
+    if framing.end {
+        formatter.end(out, meta);
+    }
+    let (Some(phases), Some(started), Some(filled)) = (phases, started, filled) else {
+        return PackageTimings::default();
+    };
+    let finished = now_ns();
+    let mut t = PackageTimings {
+        total_ns: finished.saturating_sub(started),
+        generate_ns: filled.saturating_sub(started),
+        format_ns: finished.saturating_sub(filled),
+        ..PackageTimings::default()
+    };
+    let rows = pkg.len();
+    if let (Some(g), Some(f)) = (
+        t.generate_ns.checked_div(rows),
+        t.format_ns.checked_div(rows),
+    ) {
+        phases.generate.record(g);
+        phases.format.record(f);
+        t.sampled_rows = rows;
+    }
+    phases.add_busy_ns(t.total_ns);
+    t
+}
+
+/// The row-at-a-time reference renderer: `job`'s `begin` framing, then
+/// one [`SchemaRuntime::row_into`] plus [`Formatter::row`] per row, then
+/// its `end` framing. No engine calls it. It is the oracle the identity
+/// suites compare every engine against, and the baseline package body of
+/// the throughput bench's columnar-speedup A/B.
+pub fn render_reference(
+    rt: &SchemaRuntime,
+    job: &TableJob,
+    formatter: &dyn Formatter,
+    out: &mut Vec<u8>,
+) {
+    let meta = table_meta(rt, job.table);
+    let mut values = Vec::new();
+    let mut scratch = GenScratch::default();
+    if job.framing.begin {
+        formatter.begin(out, &meta);
+    }
+    for row in job.rows.clone() {
+        rt.row_into_with_scratch(job.table, job.update, row, &mut values, &mut scratch);
+        formatter.row(out, &meta, &values);
+    }
+    if job.framing.end {
+        formatter.end(out, &meta);
+    }
 }
 
 #[cfg(test)]
@@ -236,6 +392,43 @@ mod tests {
         assert_eq!(Framing::for_range(&(25..75), 100), Framing::none());
         // Empty table: the full range is 0..0, a complete document.
         assert_eq!(Framing::for_range(&(0..0), 0), Framing::full());
+    }
+
+    #[test]
+    fn job_packages_carry_framing_on_first_and_last() {
+        let job = TableJob::full_table(0, 10);
+        assert_eq!(job.package_count(4), 3);
+        let begin_only = Framing {
+            begin: true,
+            end: false,
+        };
+        let end_only = Framing {
+            begin: false,
+            end: true,
+        };
+        assert_eq!(job.package(0, 4).0.rows, 0..4);
+        assert_eq!(job.package(0, 4).1, begin_only);
+        assert_eq!(job.package(1, 4).1, Framing::none());
+        assert_eq!(job.package(2, 4).0.rows, 8..10);
+        assert_eq!(job.package(2, 4).1, end_only);
+        assert_eq!(job.package(0, 100).1, Framing::full());
+        // Packages of a shard start at the shard's first row and carry
+        // only the framing the shard owns.
+        let shard = TableJob::shard(1, 2, 4..12, 20);
+        let (pkg, framing) = shard.package(1, 4);
+        assert_eq!((pkg.table, pkg.update, pkg.seq), (1, 2, 1));
+        assert_eq!(pkg.rows, 8..12);
+        assert_eq!(framing, Framing::none());
+    }
+
+    #[test]
+    fn rowless_jobs_render_one_package_only_when_they_own_framing() {
+        let empty = TableJob::full_table(0, 0);
+        assert_eq!(empty.package_count(4), 1);
+        let (pkg, framing) = empty.package(0, 4);
+        assert!(pkg.is_empty());
+        assert_eq!(framing, Framing::full());
+        assert_eq!(TableJob::shard(0, 0, 5..5, 10).package_count(4), 0);
     }
 
     #[test]

@@ -17,31 +17,35 @@
 //! written buffers return to a [`BufferPool`] shared with the workers —
 //! after warm-up the steady state allocates nothing per package.
 //!
-//! Framing ([`Framing`]) makes node sharding exact for framed formats: a
-//! shard emits the formatter's `begin`/`end` bytes only when it owns the
-//! start/end of the table, so concatenated shard outputs equal the
-//! single-node byte stream for CSV-with-header, XML, and SQL alike.
+//! Every package runs through the one package body shared with the row
+//! service, [`render_package`](crate::package). Framing ([`Framing`])
+//! makes node sharding exact for framed formats: a shard emits the
+//! formatter's `begin`/`end` bytes only when it owns the start/end of the
+//! table, and those bytes travel inside the job's first and last package,
+//! so concatenated shard outputs equal the single-node byte stream for
+//! CSV-with-header, XML, and SQL alike.
 //!
 //! Observability rides along without touching the bytes: a run accepts an
 //! [`Observability`] bundle (progress [`Monitor`] and/or [`Telemetry`]).
-//! With telemetry attached, workers time a sampled subset of rows into
-//! per-worker histograms and the output stage publishes run/job/package
-//! events — all copies of counters flowing outward, nothing flowing back
-//! into generation, so output stays a pure function of (schema, seed,
-//! format) with or without observers.
+//! With telemetry attached, workers time each package's generate and
+//! format phases into per-worker histograms and the output stage
+//! publishes run/job/package events — all copies of counters flowing
+//! outward, nothing flowing back into generation, so output stays a pure
+//! function of (schema, seed, format) with or without observers.
 
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-use pdgf_gen::{GenScratch, SchemaRuntime};
+use pdgf_gen::SchemaRuntime;
 use pdgf_output::{BufferPool, Formatter, ReorderBuffer, Sink, TableMeta};
-use pdgf_schema::{ColumnBatch, Value};
 
 use crate::handoff::{channel, TicketCounter};
-use crate::metrics::{now_ns, PackageTimings, WorkerPhases, ROW_SAMPLE_EVERY};
+use crate::metrics::{now_ns, PackageTimings, WorkerPhases};
 use crate::monitor::TableHandle;
-use crate::package::{packages_for_jobs, Framing, ProjectPackage, TableJob};
+use crate::package::{
+    package_capacity_hint, render_package, Framing, TableJob, WorkPackage, WorkerState,
+};
 use crate::telemetry::{JobInfo, Observability, RunScope};
 
 /// Scheduler configuration, built fluently and validated at set time:
@@ -59,10 +63,6 @@ pub struct RunConfig {
     pub(crate) workers: usize,
     /// Rows per work package; always ≥ 1.
     pub(crate) package_rows: u64,
-    /// Generate packages through the columnar batch path (default). The
-    /// row path stays available (`columnar(false)`) for A/B comparison;
-    /// both paths produce byte-identical output.
-    pub(crate) columnar: bool,
 }
 
 impl Default for RunConfig {
@@ -70,7 +70,6 @@ impl Default for RunConfig {
         Self {
             workers: available_workers(),
             package_rows: 10_000,
-            columnar: true,
         }
     }
 }
@@ -102,22 +101,9 @@ impl RunConfig {
         self
     }
 
-    /// Choose between the columnar batch path (`true`, the default) and
-    /// the per-row path (`false`). Output bytes are identical either way;
-    /// the switch exists for A/B benchmarking and as an escape hatch.
-    pub fn columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
-        self
-    }
-
     /// Configured worker thread count (`0` = inline).
     pub fn worker_threads(&self) -> usize {
         self.workers
-    }
-
-    /// Whether the columnar batch path is enabled.
-    pub fn columnar_enabled(&self) -> bool {
-        self.columnar
     }
 
     /// Configured rows per work package.
@@ -229,23 +215,11 @@ struct RunCtx<'a> {
     handles: Option<&'a [TableHandle]>,
     scope: Option<&'a RunScope>,
     started: Instant,
-    /// Whether packages run through the columnar batch path.
-    columnar: bool,
 }
 
-/// Cap on statically sized package buffers: a proven-but-huge bound (wide
-/// rows × large packages) must not balloon a single allocation; past this
-/// size ordinary growth takes over.
-const MAX_PREALLOC_BYTES: u64 = 64 << 20;
-
-/// Up-front capacity for one package buffer: the proven per-row bound
-/// times the package's rows, capped at [`MAX_PREALLOC_BYTES`]. Zero (no
-/// reservation) when the bound is unknown.
-pub(crate) fn package_capacity_hint(row_bound: Option<u64>, rows: u64) -> usize {
-    row_bound
-        .and_then(|b| b.checked_mul(rows))
-        .map_or(0, |b| b.min(MAX_PREALLOC_BYTES) as usize)
-}
+/// One entry of a run's global package queue: the job it belongs to, its
+/// rows, and the share of the job's framing it carries.
+type QueuedPackage = (usize, WorkPackage, Framing);
 
 /// Generate every job of a project through one persistent worker pool.
 ///
@@ -323,7 +297,6 @@ pub fn run_project<'a>(
         handles: handles.as_deref(),
         scope: scope.as_ref(),
         started,
-        columnar: cfg.columnar,
     };
     let result = run_phases(rt, &ctx, sinks, &mut outputs, cfg);
 
@@ -340,7 +313,8 @@ pub fn run_project<'a>(
     Ok(outputs.into_iter().map(|o| o.stats).collect())
 }
 
-/// The run body: framing, then inline or pooled package execution.
+/// The run body: queue every job's packages, then execute them inline or
+/// on the pool.
 fn run_phases(
     rt: &SchemaRuntime,
     ctx: &RunCtx<'_>,
@@ -348,25 +322,20 @@ fn run_phases(
     outputs: &mut [JobOutput],
     cfg: &RunConfig,
 ) -> io::Result<()> {
-    let packages = packages_for_jobs(ctx.jobs, cfg.package_rows);
-    for p in &packages {
-        outputs[p.job as usize].remaining += 1;
-    }
-
-    // Begin framing is written up front: jobs have disjoint sinks, so
-    // cross-job write order never affects per-sink byte identity. Jobs
-    // with no packages (empty shards that still own framing — e.g. an
-    // empty table with a CSV header) complete right here.
-    let mut frame_buf = Vec::new();
+    // One global list, job-major. Framing rides inside each job's first
+    // and last package; a rowless job that owns framing gets one empty
+    // package, so only an unframed rowless shard completes right here.
+    let mut packages: Vec<QueuedPackage> = Vec::new();
     for (idx, job) in ctx.jobs.iter().enumerate() {
-        if job.framing.begin {
-            frame_buf.clear();
-            ctx.formatter.begin(&mut frame_buf, &ctx.metas[idx]);
-            write_framing(ctx, &frame_buf, idx, sinks, outputs)?;
+        let count = job.package_count(cfg.package_rows);
+        outputs[idx].remaining = count;
+        if count == 0 {
+            finish_job(ctx, idx, outputs);
         }
-        if outputs[idx].remaining == 0 {
-            finish_job(ctx, idx, sinks, outputs)?;
-        }
+        packages.extend((0..count).map(|seq| {
+            let (pkg, framing) = job.package(seq, cfg.package_rows);
+            (idx, pkg, framing)
+        }));
     }
 
     if packages.is_empty() {
@@ -379,58 +348,16 @@ fn run_phases(
     }
 }
 
-/// Append `bytes` framing output to job `idx`'s sink and counters.
-fn write_framing(
-    ctx: &RunCtx<'_>,
-    bytes: &[u8],
-    idx: usize,
-    sinks: &mut [&mut dyn Sink],
-    outputs: &mut [JobOutput],
-) -> io::Result<()> {
-    if bytes.is_empty() {
-        return Ok(());
-    }
-    if let Some(scope) = ctx.scope {
-        scope.job_started(idx);
-        scope.begin_write(idx);
-    }
-    let write_result = sinks[idx].write_chunk(bytes);
-    if let Some(scope) = ctx.scope {
-        scope.end_write();
-        if let Err(e) = &write_result {
-            scope.sink_error(idx, e);
-        }
-    }
-    write_result?;
-    outputs[idx].stats.bytes += bytes.len() as u64;
-    if let Some(handles) = ctx.handles {
-        handles[idx].record_framing(bytes.len() as u64);
-    }
-    Ok(())
-}
-
-/// Write job `idx`'s end framing (if owned) and stamp its completion
-/// time. Called exactly once per job, when its last package is written —
-/// or immediately for jobs with no packages.
-fn finish_job(
-    ctx: &RunCtx<'_>,
-    idx: usize,
-    sinks: &mut [&mut dyn Sink],
-    outputs: &mut [JobOutput],
-) -> io::Result<()> {
-    if ctx.jobs[idx].framing.end {
-        let mut tail = Vec::new();
-        ctx.formatter.end(&mut tail, &ctx.metas[idx]);
-        write_framing(ctx, &tail, idx, sinks, outputs)?;
-    }
+/// Stamp job `idx`'s completion time. Called exactly once per job, when
+/// its last package is written — or immediately for jobs with none.
+fn finish_job(ctx: &RunCtx<'_>, idx: usize, outputs: &mut [JobOutput]) {
     outputs[idx].stats.seconds = ctx.started.elapsed().as_secs_f64();
     if let Some(scope) = ctx.scope {
-        // Jobs whose framing produced no bytes may not have announced
-        // themselves yet; `job_started` is idempotent.
+        // A job with no packages never announced itself; `job_started`
+        // is idempotent.
         scope.job_started(idx);
         scope.job_finished(idx, &outputs[idx].stats);
     }
-    Ok(())
 }
 
 /// Write one completed package of job `idx` and, when it was the job's
@@ -451,7 +378,13 @@ fn write_package(
         scope.begin_write(idx);
     }
     let write_started = ctx.scope.map(|_| now_ns());
-    let write_result = sinks[idx].write_chunk(buf);
+    // An empty package (a rowless job whose format has no framing bytes)
+    // never reaches the sink, so it cannot open an empty output part.
+    let write_result = if buf.is_empty() {
+        Ok(())
+    } else {
+        sinks[idx].write_chunk(buf)
+    };
     if let Some(scope) = ctx.scope {
         scope.end_write();
         if let Err(e) = &write_result {
@@ -473,203 +406,9 @@ fn write_package(
         scope.package_completed(idx, seq, rows, buf.len() as u64, timings);
     }
     if out.remaining == 0 {
-        finish_job(ctx, idx, sinks, outputs)?;
+        finish_job(ctx, idx, outputs);
     }
     Ok(())
-}
-
-/// Reusable per-worker buffers: the row path's row buffer, the columnar
-/// path's batch, and the generator scratch shared by both. One lives on
-/// the inline thread and one in each pool worker (and in each serve
-/// worker — see [`crate::serve`]); after warm-up neither path allocates
-/// per package.
-#[derive(Default)]
-pub(crate) struct WorkerState {
-    pub(crate) row_buf: Vec<Value>,
-    pub(crate) batch: ColumnBatch,
-    pub(crate) scratch: GenScratch,
-}
-
-/// Run one package through the configured path (columnar or row), timed
-/// when telemetry is attached, appending formatted bytes to `out`.
-fn execute_package(
-    rt: &SchemaRuntime,
-    ctx: &RunCtx<'_>,
-    pkg: &ProjectPackage,
-    state: &mut WorkerState,
-    out: &mut Vec<u8>,
-    phases: Option<&Arc<WorkerPhases>>,
-) -> PackageTimings {
-    let meta = &ctx.metas[pkg.job as usize];
-    match (ctx.columnar, phases) {
-        (true, Some(phases)) => format_package_columnar_timed(
-            rt,
-            pkg,
-            ctx.formatter,
-            meta,
-            &mut state.batch,
-            &mut state.scratch,
-            out,
-            phases,
-        ),
-        (true, None) => {
-            format_package_columnar(
-                rt,
-                pkg,
-                ctx.formatter,
-                meta,
-                &mut state.batch,
-                &mut state.scratch,
-                out,
-            );
-            PackageTimings::default()
-        }
-        (false, Some(phases)) => format_package_timed(
-            rt,
-            pkg,
-            ctx.formatter,
-            meta,
-            &mut state.row_buf,
-            &mut state.scratch,
-            out,
-            phases,
-        ),
-        (false, None) => {
-            format_package(
-                rt,
-                pkg,
-                ctx.formatter,
-                meta,
-                &mut state.row_buf,
-                &mut state.scratch,
-                out,
-            );
-            PackageTimings::default()
-        }
-    }
-}
-
-/// The columnar package body: generate the whole package column by
-/// column into a typed [`ColumnBatch`], then transpose it through the
-/// formatter's [`rows_columnar`](Formatter::rows_columnar). Byte-
-/// identical to [`format_package`] by the kernel and formatter contracts.
-pub(crate) fn format_package_columnar(
-    rt: &SchemaRuntime,
-    pkg: &ProjectPackage,
-    formatter: &dyn Formatter,
-    meta: &TableMeta,
-    batch: &mut ColumnBatch,
-    scratch: &mut GenScratch,
-    out: &mut Vec<u8>,
-) {
-    rt.fill_batch(
-        pkg.pkg.table,
-        pkg.pkg.update,
-        pkg.pkg.rows.clone(),
-        batch,
-        scratch,
-    );
-    formatter.rows_columnar(out, meta, batch);
-}
-
-/// [`format_package_columnar`] with phase instrumentation. The columnar
-/// path has natural package-level phase boundaries (fill, then
-/// transpose), so instead of sampling rows it times the two stages once
-/// and feeds the per-row averages to the worker histograms — every row
-/// is "sampled" at the cost of three clock reads per package.
-#[allow(clippy::too_many_arguments)]
-fn format_package_columnar_timed(
-    rt: &SchemaRuntime,
-    pkg: &ProjectPackage,
-    formatter: &dyn Formatter,
-    meta: &TableMeta,
-    batch: &mut ColumnBatch,
-    scratch: &mut GenScratch,
-    out: &mut Vec<u8>,
-    phases: &WorkerPhases,
-) -> PackageTimings {
-    let started = now_ns();
-    let mut t = PackageTimings::default();
-    rt.fill_batch(
-        pkg.pkg.table,
-        pkg.pkg.update,
-        pkg.pkg.rows.clone(),
-        batch,
-        scratch,
-    );
-    let g1 = now_ns();
-    formatter.rows_columnar(out, meta, batch);
-    let f1 = now_ns();
-    t.generate_ns = g1.saturating_sub(started);
-    t.format_ns = f1.saturating_sub(g1);
-    let rows = batch.rows() as u64;
-    if let (Some(g), Some(f)) = (
-        t.generate_ns.checked_div(rows),
-        t.format_ns.checked_div(rows),
-    ) {
-        phases.generate.record(g);
-        phases.format.record(f);
-        t.sampled_rows = rows;
-    }
-    t.total_ns = now_ns().saturating_sub(started);
-    phases.add_busy_ns(t.total_ns);
-    t
-}
-
-pub(crate) fn format_package(
-    rt: &SchemaRuntime,
-    pkg: &ProjectPackage,
-    formatter: &dyn Formatter,
-    meta: &TableMeta,
-    row_buf: &mut Vec<Value>,
-    scratch: &mut GenScratch,
-    out: &mut Vec<u8>,
-) {
-    for row in pkg.pkg.rows.clone() {
-        rt.row_into_with_scratch(pkg.pkg.table, pkg.pkg.update, row, row_buf, scratch);
-        formatter.row(out, meta, row_buf);
-    }
-}
-
-/// [`format_package`] with phase instrumentation: one row in
-/// [`ROW_SAMPLE_EVERY`] is timed around generate and format separately,
-/// feeding the worker's private histograms; the whole package gets two
-/// clock reads for busy time. Only used when telemetry is attached —
-/// the uninstrumented path has zero added clock reads.
-#[allow(clippy::too_many_arguments)]
-fn format_package_timed(
-    rt: &SchemaRuntime,
-    pkg: &ProjectPackage,
-    formatter: &dyn Formatter,
-    meta: &TableMeta,
-    row_buf: &mut Vec<Value>,
-    scratch: &mut GenScratch,
-    out: &mut Vec<u8>,
-    phases: &WorkerPhases,
-) -> PackageTimings {
-    debug_assert!(ROW_SAMPLE_EVERY.is_power_of_two());
-    let started = now_ns();
-    let mut t = PackageTimings::default();
-    for (i, row) in pkg.pkg.rows.clone().enumerate() {
-        if (i as u64) & (ROW_SAMPLE_EVERY - 1) == 0 {
-            let g0 = now_ns();
-            rt.row_into_with_scratch(pkg.pkg.table, pkg.pkg.update, row, row_buf, scratch);
-            let g1 = now_ns();
-            formatter.row(out, meta, row_buf);
-            let f1 = now_ns();
-            phases.generate.record(g1.saturating_sub(g0));
-            phases.format.record(f1.saturating_sub(g1));
-            t.generate_ns += g1.saturating_sub(g0);
-            t.format_ns += f1.saturating_sub(g1);
-            t.sampled_rows += 1;
-        } else {
-            rt.row_into_with_scratch(pkg.pkg.table, pkg.pkg.update, row, row_buf, scratch);
-            formatter.row(out, meta, row_buf);
-        }
-    }
-    t.total_ns = now_ns().saturating_sub(started);
-    phases.add_busy_ns(t.total_ns);
-    t
 }
 
 /// Inline execution on the calling thread: packages run in global queue
@@ -677,7 +416,7 @@ fn format_package_timed(
 fn run_inline(
     rt: &SchemaRuntime,
     ctx: &RunCtx<'_>,
-    packages: &[ProjectPackage],
+    packages: &[QueuedPackage],
     sinks: &mut [&mut dyn Sink],
     outputs: &mut [JobOutput],
 ) -> io::Result<()> {
@@ -690,24 +429,23 @@ fn run_inline(
     if let Some(scope) = ctx.scope {
         scope.set_queue_depth(total);
     }
-    for (done, p) in packages.iter().enumerate() {
+    for (done, (idx, pkg, framing)) in packages.iter().enumerate() {
         out.clear();
-        let idx = p.job as usize;
-        let want = package_capacity_hint(ctx.row_bounds[idx], p.pkg.len());
+        let want = package_capacity_hint(ctx.row_bounds[*idx], pkg.len());
         if out.capacity() < want {
             out.reserve(want);
         }
-        let timings = execute_package(rt, ctx, p, &mut state, &mut out, phases.as_ref());
-        write_package(
-            ctx,
-            p.pkg.seq,
-            p.pkg.len(),
-            &out,
-            timings,
-            idx,
-            sinks,
-            outputs,
-        )?;
+        let timings = render_package(
+            rt,
+            ctx.formatter,
+            &ctx.metas[*idx],
+            pkg,
+            *framing,
+            &mut state,
+            &mut out,
+            phases.as_deref(),
+        );
+        write_package(ctx, pkg.seq, pkg.len(), &out, timings, *idx, sinks, outputs)?;
         if let Some(scope) = ctx.scope {
             scope.set_queue_depth(total - (done as u64 + 1));
         }
@@ -720,7 +458,7 @@ fn run_inline(
 fn run_pool(
     rt: &SchemaRuntime,
     ctx: &RunCtx<'_>,
-    packages: &[ProjectPackage],
+    packages: &[QueuedPackage],
     sinks: &mut [&mut dyn Sink],
     outputs: &mut [JobOutput],
     cfg: &RunConfig,
@@ -730,7 +468,7 @@ fn run_pool(
     // Bounded channel: workers stall rather than buffering the whole
     // project when a sink is slow.
     let channel_depth = cfg.workers * 4;
-    let (tx, rx) = channel::<(u32, u64, u64, Vec<u8>, PackageTimings)>(channel_depth);
+    let (tx, rx) = channel::<(usize, u64, u64, Vec<u8>, PackageTimings)>(channel_depth);
     // Written buffers return here and workers take them back out; sized
     // past the channel depth so even a full pipeline keeps recycling.
     let pool = BufferPool::new(channel_depth + cfg.workers + 1);
@@ -748,18 +486,21 @@ fn run_pool(
             let phases: Option<Arc<WorkerPhases>> = ctx.scope.map(|s| s.slot(worker));
             thread_scope.spawn(move || {
                 let mut state = WorkerState::default();
-                while let Some(idx) = tickets.claim() {
-                    let p = &packages[idx as usize];
-                    let mut out = pool.take_with_capacity(package_capacity_hint(
-                        ctx.row_bounds[p.job as usize],
-                        p.pkg.len(),
-                    ));
-                    let timings =
-                        execute_package(rt, ctx, p, &mut state, &mut out, phases.as_ref());
-                    if tx
-                        .send((p.job, p.pkg.seq, p.pkg.len(), out, timings))
-                        .is_err()
-                    {
+                while let Some(ticket) = tickets.claim() {
+                    let (idx, pkg, framing) = &packages[ticket as usize];
+                    let mut out = pool
+                        .take_with_capacity(package_capacity_hint(ctx.row_bounds[*idx], pkg.len()));
+                    let timings = render_package(
+                        rt,
+                        ctx.formatter,
+                        &ctx.metas[*idx],
+                        pkg,
+                        *framing,
+                        &mut state,
+                        &mut out,
+                        phases.as_deref(),
+                    );
+                    if tx.send((*idx, pkg.seq, pkg.len(), out, timings)).is_err() {
                         // Output stage failed and hung up; stop quietly,
                         // the error is reported from the output side.
                         return;
@@ -771,8 +512,7 @@ fn run_pool(
 
         // Output stage on the calling thread: route each package to its
         // job's reorder buffer and sink, recycle written buffers.
-        for (job, seq, rows, buf, timings) in rx {
-            let idx = job as usize;
+        for (idx, seq, rows, buf, timings) in rx {
             let mut ready = outputs[idx].reorder.push(seq, (seq, rows, buf, timings));
             while let Some((ready_seq, ready_rows, ready_buf, ready_timings)) = ready {
                 if let Err(e) = write_package(
@@ -818,6 +558,7 @@ mod tests {
     use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
 
     use crate::monitor::Monitor;
+    use crate::package::render_reference;
 
     fn runtime(rows: u64) -> SchemaRuntime {
         let schema = Schema::new("sched", 11).table(
@@ -894,11 +635,9 @@ mod tests {
         let d = RunConfig::default();
         assert_eq!(d.worker_threads(), available_workers());
         assert_eq!(d.rows_per_package(), 10_000);
-        assert!(d.columnar_enabled(), "columnar path is the default");
-        let cfg = RunConfig::new().workers(0).package_rows(1).columnar(false);
+        let cfg = RunConfig::new().workers(0).package_rows(1);
         assert_eq!(cfg.worker_threads(), 0, "0 workers = inline is legal");
         assert_eq!(cfg.rows_per_package(), 1);
-        assert!(!cfg.columnar_enabled());
     }
 
     #[test]
@@ -954,11 +693,10 @@ mod tests {
         }
     }
 
-    /// The columnar path (default) and the row path (`columnar(false)`)
-    /// produce the same bytes for every format, worker count, and package
-    /// size — including ragged tails.
+    /// The engine produces the row reference renderer's bytes for every
+    /// format, worker count, and package size — including ragged tails.
     #[test]
-    fn columnar_path_matches_row_path_bytes() {
+    fn engine_matches_row_reference_bytes() {
         let rt = runtime(1_500);
         let formatters: [&dyn Formatter; 4] = [
             &CsvFormatter::new(),
@@ -967,30 +705,18 @@ mod tests {
             &SqlFormatter::new(),
         ];
         for formatter in formatters {
+            let mut reference = Vec::new();
+            render_reference(
+                &rt,
+                &TableJob::full_table(0, rt.tables()[0].size),
+                formatter,
+                &mut reference,
+            );
             for workers in [0usize, 2] {
                 for pkg in [7u64, 256, 100_000] {
-                    let run_with = |columnar: bool| {
-                        let mut sink = MemorySink::new();
-                        let cfg = RunConfig::new()
-                            .workers(workers)
-                            .package_rows(pkg)
-                            .columnar(columnar);
-                        generate_table_range(
-                            &rt,
-                            0,
-                            0,
-                            0..rt.tables()[0].size,
-                            formatter,
-                            &mut sink,
-                            &cfg,
-                            None,
-                        )
-                        .unwrap();
-                        sink.as_str().to_string()
-                    };
                     assert_eq!(
-                        run_with(true),
-                        run_with(false),
+                        run_fmt(&rt, formatter, workers, pkg).as_bytes(),
+                        reference,
                         "format={} workers={workers} pkg={pkg}",
                         formatter.name()
                     );

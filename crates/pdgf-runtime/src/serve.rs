@@ -6,9 +6,9 @@
 //! ranges and point lookups on demand. [`RowService`] is that pool. A
 //! [`RowRequest`] names `(model, table, update, row range)`; the service
 //! splits it into the same work packages a batch run would use, renders
-//! them through the same columnar batch engine (or the row path) and the
-//! same formatters, and streams the finished byte buffers back in row
-//! order through a [`ResponseStream`].
+//! each through the same package body a batch run uses
+//! ([`render_package`](crate::package)), and streams the finished byte
+//! buffers back in row order through a [`ResponseStream`].
 //!
 //! One service can host **several models** ([`RowService::with_models`]):
 //! every registered schema shares the single worker pool and ticket
@@ -39,14 +39,20 @@
 //! onto the one global FIFO ticket queue; a dropped [`ResponseStream`]
 //! cancels its unrendered packages.
 //!
+//! A panic while rendering fails only its own request: the worker catches
+//! it, survives, and the request's stream ends early with
+//! [`ResponseStream::is_complete`] false, counted as `aborted`.
+//!
 //! With a [`Telemetry`] attached the service keeps a long-lived run scope
 //! (so the stall watchdog supervises it — see the idle-vs-wedged
-//! distinction in [`crate::telemetry`]), publishes request-scoped events
+//! distinction in [`crate::telemetry`]), times every package's generate
+//! and format phases like a batch run, publishes request-scoped events
 //! (`RequestStarted`/`RequestFinished`/`RequestFailed`), and feeds a
 //! lock-free latency histogram surfaced through [`RowService::stats`].
 
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
@@ -56,10 +62,8 @@ use pdgf_output::{Formatter, ReorderBuffer, TableMeta};
 
 use crate::events::RunEvent;
 use crate::metrics::{now_ns, Histogram, PhaseStats};
-use crate::package::{Framing, ProjectPackage, WorkPackage};
-use crate::scheduler::{
-    format_package, format_package_columnar, package_capacity_hint, table_meta, WorkerState,
-};
+use crate::package::{package_capacity_hint, render_package, Framing, TableJob, WorkerState};
+use crate::scheduler::table_meta;
 use crate::telemetry::{JobInfo, RunScope, Telemetry};
 
 /// Tuning knobs for a [`RowService`], built fluently like
@@ -78,8 +82,6 @@ pub struct ServeConfig {
     pub(crate) package_rows: u64,
     /// Max in-flight packages per request (backpressure window).
     pub(crate) window: usize,
-    /// Render through the columnar batch path (default) or the row path.
-    pub(crate) columnar: bool,
     /// Reject requests spanning more than this many rows (0 = unlimited).
     pub(crate) max_request_rows: u64,
 }
@@ -90,7 +92,6 @@ impl Default for ServeConfig {
             workers: crate::scheduler::available_workers(),
             package_rows: 4_096,
             window: 4,
-            columnar: true,
             max_request_rows: 0,
         }
     }
@@ -98,7 +99,7 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Start from the defaults: one worker per core, 4096-row packages,
-    /// a 4-package window, columnar rendering, no request-size cap.
+    /// a 4-package window, no request-size cap.
     pub fn new() -> Self {
         Self::default()
     }
@@ -124,13 +125,6 @@ impl ServeConfig {
     /// Set the per-request in-flight package window (clamped to ≥ 1).
     pub fn window(mut self, window: usize) -> Self {
         self.window = window.max(1);
-        self
-    }
-
-    /// Choose the columnar batch path (`true`, default) or the row path.
-    /// Response bytes are identical either way.
-    pub fn columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
         self
     }
 
@@ -229,6 +223,9 @@ pub enum SubmitError {
     },
     /// The service is shutting down.
     ShuttingDown,
+    /// The request was admitted but ended before its last package: a
+    /// render panicked or the service shut down mid-request.
+    Incomplete,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -245,6 +242,7 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "request spans {requested} rows, cap is {max}")
             }
             Self::ShuttingDown => write!(f, "service is shutting down"),
+            Self::Incomplete => write!(f, "request ended before its last package"),
         }
     }
 }
@@ -259,7 +257,8 @@ pub struct ServeStats {
     pub requests: u64,
     /// Requests whose reader consumed every package.
     pub completed: u64,
-    /// Requests whose [`ResponseStream`] was dropped early.
+    /// Requests that ended early: the stream was dropped, a render
+    /// panicked, or the service shut down mid-request.
     pub aborted: u64,
     /// Submissions rejected before a stream existed.
     pub rejected: u64,
@@ -320,6 +319,8 @@ struct ModelSlot {
 struct RequestState {
     reorder: ReorderBuffer<Vec<u8>>,
     ready: VecDeque<Vec<u8>>,
+    /// A package failed to render; the request cannot complete.
+    failed: bool,
 }
 
 /// Everything a worker needs to render one request's packages, shared
@@ -331,10 +332,8 @@ struct RequestShared {
     rt: Arc<SchemaRuntime>,
     /// Model slot index, for per-model completion counters.
     model: u32,
-    table: u32,
-    update: u32,
-    rows: Range<u64>,
-    framing: Framing,
+    /// The requested rows and framing, packaged exactly like a batch job.
+    job: TableJob,
     total_packages: u64,
     formatter: Arc<dyn Formatter>,
     meta: TableMeta,
@@ -358,7 +357,6 @@ struct ServiceShared {
     queue: Mutex<VecDeque<Task>>,
     work: Condvar,
     shutdown: AtomicBool,
-    columnar: bool,
     package_rows: u64,
     window: u64,
     max_request_rows: u64,
@@ -451,7 +449,6 @@ impl RowService {
             queue: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            columnar: cfg.columnar,
             package_rows: cfg.package_rows,
             window: cfg.window.max(1) as u64,
             max_request_rows: cfg.max_request_rows,
@@ -466,7 +463,7 @@ impl RowService {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pdgf-serve-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || worker_loop(&shared, i))
                     .unwrap_or_else(|e| panic!("failed to spawn serve worker {i}: {e}"))
             })
             .collect();
@@ -613,16 +610,15 @@ impl RowService {
             span = max;
         }
 
-        let framing = request
-            .framing
-            .unwrap_or_else(|| Framing::for_range(&request.rows, size));
-        // Package count mirrors the batch scheduler's split; a rowless
-        // request that still owns framing gets one synthetic empty
-        // package so `begin`/`end` bytes have a carrier.
-        let mut total_packages = span.div_ceil(shared.package_rows);
-        if total_packages == 0 && (framing.begin || framing.end) {
-            total_packages = 1;
-        }
+        let job = TableJob {
+            table: request.table,
+            update: request.update,
+            framing: request
+                .framing
+                .unwrap_or_else(|| Framing::for_range(&request.rows, size)),
+            rows: request.rows,
+        };
+        let total_packages = job.package_count(shared.package_rows);
         let meta = table_meta(&slot.rt, request.table);
         let row_bound = formatter.max_row_bytes(&meta, &slot.rt.profiles()[request.table as usize]);
         let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
@@ -630,10 +626,7 @@ impl RowService {
             id,
             rt: Arc::clone(&slot.rt),
             model: request.model,
-            table: request.table,
-            update: request.update,
-            rows: request.rows,
-            framing,
+            job,
             total_packages,
             formatter,
             meta,
@@ -642,6 +635,7 @@ impl RowService {
             state: Mutex::new(RequestState {
                 reorder: ReorderBuffer::new(),
                 ready: VecDeque::new(),
+                failed: false,
             }),
             ready: Condvar::new(),
         });
@@ -680,7 +674,8 @@ impl RowService {
         self.row_bytes_in(0, table, update, row, formatter)
     }
 
-    /// [`row_bytes`](Self::row_bytes) against a named model slot.
+    /// [`row_bytes`](Self::row_bytes) against a named model slot. A
+    /// lookup whose render fails returns [`SubmitError::Incomplete`].
     pub fn row_bytes_in(
         &self,
         model: u32,
@@ -697,13 +692,16 @@ impl RowService {
         while let Some(chunk) = stream.next_package() {
             out.extend_from_slice(&chunk);
         }
+        if !stream.is_complete() {
+            return Err(SubmitError::Incomplete);
+        }
         Ok(out)
     }
 
     /// Lineage hook: the seed the *point-lookup* route derives for one
-    /// cell. This is the route [`RowService::row_bytes`] and the row
-    /// engine take — a direct [`FieldCoord`](pdgf_prng::FieldCoord) walk
-    /// down the seeding tree. `pdgf prove` checks it lands on the same
+    /// cell. This is the route per-cell access and the row reference
+    /// renderer take — a direct [`FieldCoord`](pdgf_prng::FieldCoord)
+    /// walk down the seeding tree. `pdgf prove` checks it lands on the same
     /// lineage node as [`RowService::batch_lineage`] (`E055`).
     pub fn point_lineage(&self, table: u32, column: u32, update: u32, row: u64) -> u64 {
         self.shared.models[0]
@@ -811,6 +809,15 @@ impl ResponseStream {
         self.req.id
     }
 
+    /// Whether every package was delivered. After
+    /// [`next_package`](Self::next_package) returns `None` this tells a
+    /// complete response from one that ended early (a render failed or
+    /// the service shut down); front ends must not frame an incomplete
+    /// response as complete.
+    pub fn is_complete(&self) -> bool {
+        self.delivered == self.req.total_packages
+    }
+
     fn issue_up_to_window(&mut self) {
         while self.issued < self.req.total_packages
             && self.issued.saturating_sub(self.delivered) < self.window
@@ -823,8 +830,25 @@ impl ResponseStream {
         }
     }
 
+    /// End this request early: cancel its unrendered packages, count it
+    /// as aborted (service-wide and per model), and publish the reason.
+    fn abort(&mut self, message: &str) {
+        self.finished = true;
+        self.req.cancelled.store(true, Ordering::Relaxed);
+        self.shared.stats.aborted.fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = self.shared.models.get(self.req.model as usize) {
+            slot.stats.aborted.fetch_add(1, Ordering::Relaxed);
+        }
+        self.shared.publish(RunEvent::RequestFailed {
+            request: self.req.id,
+            message: message.to_string(),
+        });
+    }
+
     /// Blocking: the next formatted package, in row order, or `None`
-    /// after the last one (or if the service shuts down mid-request).
+    /// after the last one — or early, if a package failed to render or
+    /// the service shut down mid-request ([`is_complete`](Self::is_complete)
+    /// tells the two apart).
     pub fn next_package(&mut self) -> Option<Vec<u8>> {
         if self.finished {
             return None;
@@ -838,23 +862,21 @@ impl ResponseStream {
             if let Some(b) = st.ready.pop_front() {
                 break b;
             }
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                // The pool is gone; this request can never complete.
-                // Release the state guard before the bookkeeping below:
-                // publishing a telemetry event takes the bus lock, and
-                // holding two guards here would put a serve->events edge
-                // in the lock-order graph for no benefit.
+            let failure = if st.failed {
+                Some("package render panicked")
+            } else if self.shared.shutdown.load(Ordering::Acquire) {
+                Some("service shut down mid-request")
+            } else {
+                None
+            };
+            if let Some(message) = failure {
+                // This request can never complete. Release the state
+                // guard before the bookkeeping below: publishing a
+                // telemetry event takes the bus lock, and holding two
+                // guards here would put a serve->events edge in the
+                // lock-order graph for no benefit.
                 drop(st);
-                self.finished = true;
-                self.req.cancelled.store(true, Ordering::Relaxed);
-                self.shared.stats.aborted.fetch_add(1, Ordering::Relaxed);
-                if let Some(slot) = self.shared.models.get(self.req.model as usize) {
-                    slot.stats.aborted.fetch_add(1, Ordering::Relaxed);
-                }
-                self.shared.publish(RunEvent::RequestFailed {
-                    request: self.req.id,
-                    message: "service shut down mid-request".to_string(),
-                });
+                self.abort(message);
                 return None;
             }
             // Timed wait so a shutdown while parked is noticed.
@@ -864,8 +886,12 @@ impl ResponseStream {
                 .wait_timeout(st, Duration::from_millis(50))
                 .unwrap_or_else(PoisonError::into_inner);
         };
+        let (pkg, _) = self
+            .req
+            .job
+            .package(self.delivered, self.shared.package_rows);
         self.delivered += 1;
-        self.rows += package_row_count(&self.req, self.shared.package_rows, self.delivered - 1);
+        self.rows += pkg.len();
         self.bytes += buf.len() as u64;
         self.issue_up_to_window();
         if self.delivered == self.req.total_packages {
@@ -904,30 +930,14 @@ impl Iterator for ResponseStream {
 impl Drop for ResponseStream {
     fn drop(&mut self) {
         if !self.finished {
-            self.req.cancelled.store(true, Ordering::Relaxed);
-            self.shared.stats.aborted.fetch_add(1, Ordering::Relaxed);
-            if let Some(slot) = self.shared.models.get(self.req.model as usize) {
-                slot.stats.aborted.fetch_add(1, Ordering::Relaxed);
-            }
-            self.shared.publish(RunEvent::RequestFailed {
-                request: self.req.id,
-                message: "response stream dropped before completion".to_string(),
-            });
+            self.abort("response stream dropped before completion");
         }
     }
 }
 
-/// Rows package `seq` of `req` covers (the tail package may be short;
-/// a synthetic framing-only package covers zero).
-fn package_row_count(req: &RequestShared, package_rows: u64, seq: u64) -> u64 {
-    let span = req.rows.end - req.rows.start;
-    let start = seq.saturating_mul(package_rows).min(span);
-    let end = seq.saturating_add(1).saturating_mul(package_rows).min(span);
-    end - start
-}
-
-fn worker_loop(shared: &ServiceShared) {
+fn worker_loop(shared: &ServiceShared, worker: usize) {
     let mut state = WorkerState::default();
+    let phases = shared.scope.as_ref().map(|s| s.slot(worker));
     loop {
         // The depth reading rides the pop's critical section instead of
         // re-locking the queue afterwards (`cargo xtask locks` flags the
@@ -954,91 +964,67 @@ fn worker_loop(shared: &ServiceShared) {
         if task.req.cancelled.load(Ordering::Relaxed) {
             continue;
         }
-        let buf = render_package(shared, &task, &mut state);
-        deliver(&task.req, task.seq, buf);
+        let req = &task.req;
+        let (pkg, framing) = req.job.package(task.seq, shared.package_rows);
+        // A panic inside the renderer fails only this request: the
+        // reader sees the failure, the worker survives with fresh
+        // buffers, and the pool keeps its size.
+        let rendered = catch_unwind(AssertUnwindSafe(|| {
+            let mut out =
+                Vec::with_capacity(package_capacity_hint(req.row_bound, pkg.len()).min(1 << 22));
+            render_package(
+                &req.rt,
+                req.formatter.as_ref(),
+                &req.meta,
+                &pkg,
+                framing,
+                &mut state,
+                &mut out,
+                phases.as_deref(),
+            );
+            out
+        }));
+        if rendered.is_err() {
+            state = WorkerState::default();
+        }
+        deliver(req, task.seq, rendered.ok());
         if let Some(scope) = &shared.scope {
             scope.progress();
         }
     }
 }
 
-/// Hand one rendered package to its request: slot it into the reorder
-/// buffer, promote whatever became contiguous, and wake the reader only
-/// after the state guard is released.
-fn deliver(req: &RequestShared, seq: u64, buf: Vec<u8>) {
+/// Hand one rendered package (`None`: its render failed) to its
+/// request: slot it into the reorder buffer, promote whatever became
+/// contiguous, and wake the reader only after the state guard is
+/// released.
+fn deliver(req: &RequestShared, seq: u64, rendered: Option<Vec<u8>>) {
     let mut st = req.state.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut ready = st.reorder.push(seq, buf);
-    while let Some(b) = ready {
-        st.ready.push_back(b);
-        ready = st.reorder.pop_ready();
+    match rendered {
+        Some(buf) => {
+            let mut ready = st.reorder.push(seq, buf);
+            while let Some(b) = ready {
+                st.ready.push_back(b);
+                ready = st.reorder.pop_ready();
+            }
+        }
+        None => {
+            st.failed = true;
+            req.cancelled.store(true, Ordering::Relaxed);
+        }
     }
     drop(st);
     req.ready.notify_all();
 }
 
-/// Render one package of one request: the request's slice of the same
-/// package grid a batch run would use, framed positionally, through the
-/// configured engine. Byte-identity with batch output follows from the
-/// formatter contract: `begin` + per-row appends + `end`, independent of
-/// package boundaries.
-fn render_package(shared: &ServiceShared, task: &Task, state: &mut WorkerState) -> Vec<u8> {
-    let req = &task.req;
-    let start = req.rows.start + task.seq * shared.package_rows;
-    let end = (start + shared.package_rows).min(req.rows.end);
-    let start = start.min(end);
-    let first = task.seq == 0;
-    let last = task.seq + 1 == req.total_packages;
-    let mut out =
-        Vec::with_capacity(package_capacity_hint(req.row_bound, end - start).min(1 << 22));
-    if first && req.framing.begin {
-        req.formatter.begin(&mut out, &req.meta);
-    }
-    if end > start {
-        let pkg = ProjectPackage {
-            job: 0,
-            pkg: WorkPackage {
-                seq: task.seq,
-                table: req.table,
-                update: req.update,
-                rows: start..end,
-            },
-        };
-        if shared.columnar {
-            format_package_columnar(
-                &req.rt,
-                &pkg,
-                req.formatter.as_ref(),
-                &req.meta,
-                &mut state.batch,
-                &mut state.scratch,
-                &mut out,
-            );
-        } else {
-            format_package(
-                &req.rt,
-                &pkg,
-                req.formatter.as_ref(),
-                &req.meta,
-                &mut state.row_buf,
-                &mut state.scratch,
-                &mut out,
-            );
-        }
-    }
-    if last && req.framing.end {
-        req.formatter.end(&mut out, &req.meta);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{generate_table_range, RunConfig};
+    use crate::package::render_reference;
     use crate::telemetry::TelemetryConfig;
     use pdgf_gen::MapResolver;
-    use pdgf_output::{CsvFormatter, JsonFormatter, MemorySink, SqlFormatter, XmlFormatter};
-    use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
+    use pdgf_output::{CsvFormatter, JsonFormatter, SqlFormatter, XmlFormatter};
+    use pdgf_schema::{ColumnBatch, Expr, Field, GeneratorSpec, Schema, SqlType, Table, Value};
 
     fn runtime(rows: u64) -> Arc<SchemaRuntime> {
         let schema = Schema::new("serve", 77).table(
@@ -1059,20 +1045,12 @@ mod tests {
         Arc::new(SchemaRuntime::build(&schema, &MapResolver::new()).unwrap())
     }
 
+    /// The whole table through the row reference renderer.
     fn batch_bytes(rt: &SchemaRuntime, formatter: &dyn Formatter) -> Vec<u8> {
-        let mut sink = MemorySink::new();
-        generate_table_range(
-            rt,
-            0,
-            0,
-            0..rt.tables()[0].size,
-            formatter,
-            &mut sink,
-            &RunConfig::new().workers(0).package_rows(64),
-            None,
-        )
-        .unwrap();
-        sink.as_str().as_bytes().to_vec()
+        let mut out = Vec::new();
+        let job = TableJob::full_table(0, rt.tables()[0].size);
+        render_reference(rt, &job, formatter, &mut out);
+        out
     }
 
     fn drain(mut stream: ResponseStream) -> Vec<u8> {
@@ -1145,38 +1123,6 @@ mod tests {
                 formatter.name()
             );
         }
-    }
-
-    #[test]
-    fn row_path_matches_columnar_path() {
-        let rt = runtime(300);
-        let csv: Arc<dyn Formatter> = Arc::new(CsvFormatter::new());
-        let columnar = RowService::new(
-            Arc::clone(&rt),
-            ServeConfig::new()
-                .workers(2)
-                .package_rows(16)
-                .columnar(true),
-            None,
-        );
-        let row = RowService::new(
-            Arc::clone(&rt),
-            ServeConfig::new()
-                .workers(2)
-                .package_rows(16)
-                .columnar(false),
-            None,
-        );
-        let a = drain(
-            columnar
-                .submit(RowRequest::range(0, 0, 10..290), Arc::clone(&csv))
-                .unwrap(),
-        );
-        let b = drain(
-            row.submit(RowRequest::range(0, 0, 10..290), Arc::clone(&csv))
-                .unwrap(),
-        );
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -1320,5 +1266,66 @@ mod tests {
                 .unwrap(),
         );
         assert_eq!(got, batch_bytes(&rt, &XmlFormatter));
+    }
+
+    /// A formatter whose batch transpose panics on every package.
+    struct PanickingFormatter;
+
+    impl Formatter for PanickingFormatter {
+        fn row(&self, _out: &mut Vec<u8>, _meta: &TableMeta, _values: &[Value]) {
+            panic!("row renderer failure");
+        }
+
+        fn rows_columnar(&self, _out: &mut Vec<u8>, _meta: &TableMeta, _batch: &ColumnBatch) {
+            panic!("deliberate render failure");
+        }
+
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+    }
+
+    /// A render panic fails only its own request: the stream ends early
+    /// and says so, the counters record an abort, and the lone worker
+    /// survives to serve the next request byte-equal to the oracle.
+    #[test]
+    fn render_panic_fails_only_its_request() {
+        let rt = runtime(500);
+        let service = RowService::new(
+            Arc::clone(&rt),
+            ServeConfig::new().workers(1).package_rows(64),
+            None,
+        );
+        let mut failed = service
+            .submit(
+                RowRequest::range(0, 0, 0..500),
+                Arc::new(PanickingFormatter),
+            )
+            .unwrap();
+        assert_eq!(failed.next_package(), None);
+        assert!(
+            !failed.is_complete(),
+            "a failed stream must not look complete"
+        );
+        assert_eq!(
+            service.row_bytes(0, 0, 3, Arc::new(PanickingFormatter)),
+            Err(SubmitError::Incomplete)
+        );
+
+        let csv: Arc<dyn Formatter> = Arc::new(CsvFormatter::new().with_header());
+        let mut stream = service
+            .submit(RowRequest::range(0, 0, 0..500), Arc::clone(&csv))
+            .unwrap();
+        let mut bytes = Vec::new();
+        while let Some(chunk) = stream.next_package() {
+            bytes.extend_from_slice(&chunk);
+        }
+        assert!(stream.is_complete());
+        assert_eq!(bytes, batch_bytes(&rt, csv.as_ref()));
+
+        let stats = service.stats();
+        assert_eq!((stats.requests, stats.completed, stats.aborted), (3, 1, 2));
+        let model = service.stats_of(0).unwrap();
+        assert_eq!((model.completed, model.aborted), (1, 2));
     }
 }

@@ -10,9 +10,7 @@ use pdgf_output::{
     CsvFormatter, DirSinkFactory, FileSink, Formatter, JsonFormatter, MemorySink, NullSinkFactory,
     Sink, SqlFormatter, XmlFormatter,
 };
-use pdgf_runtime::{
-    GenerationRun, MetaScheduler, Monitor, NodeReport, RunConfig, RunReport, Telemetry,
-};
+use pdgf_runtime::{GenerationRun, MetaScheduler, NodeReport, Observability, RunConfig, RunReport};
 use pdgf_schema::config as xmlconfig;
 use pdgf_schema::{absint, lineage, Schema, Value};
 
@@ -161,14 +159,6 @@ impl Pdgf {
     /// Rows per work package (values below 1 are clamped to 1).
     pub fn package_rows(mut self, rows: u64) -> Self {
         self.config = self.config.package_rows(rows.max(1));
-        self
-    }
-
-    /// Choose the generation path: columnar batches (`true`, the
-    /// default) or per-row (`false`). Output bytes are identical either
-    /// way; the switch exists for A/B benchmarking.
-    pub fn columnar(mut self, columnar: bool) -> Self {
-        self.config = self.config.columnar(columnar);
         self
     }
 
@@ -469,35 +459,35 @@ impl PdgfProject {
     }
 
     /// Generate every table into `dir` as `<table>.<ext>` files.
-    pub fn generate_to_dir(
+    ///
+    /// `obs` attaches observers: `None`, a
+    /// [`&Monitor`](pdgf_runtime::Monitor) for live progress counters, a
+    /// [`&Telemetry`](pdgf_runtime::Telemetry) for the event stream,
+    /// phase-latency metrics and the stall watchdog (populating
+    /// [`RunReport::metrics`]), or an [`Observability`] with both.
+    pub fn generate_to_dir<'a>(
         &self,
         dir: impl AsRef<Path>,
         format: OutputFormat,
-    ) -> Result<RunReport, PdgfError> {
-        self.generate_to_dir_observed(dir, format, None, None)
-    }
-
-    /// [`generate_to_dir`](Self::generate_to_dir) with optional observers
-    /// attached: a [`Monitor`] for live progress counters and/or a
-    /// [`Telemetry`] for the event stream, phase-latency metrics and the
-    /// stall watchdog (populating [`RunReport::metrics`]).
-    pub fn generate_to_dir_observed(
-        &self,
-        dir: impl AsRef<Path>,
-        format: OutputFormat,
-        monitor: Option<Monitor>,
-        telemetry: Option<Telemetry>,
+        obs: impl Into<Observability<'a>>,
     ) -> Result<RunReport, PdgfError> {
         let formatter = format.formatter();
         let factory = DirSinkFactory::new(dir.as_ref(), format.extension());
+        Ok(self.observed_run(obs).run(formatter.as_ref(), factory)?)
+    }
+
+    /// A run over this project's runtime and configuration, with `obs`
+    /// attached.
+    fn observed_run<'a>(&self, obs: impl Into<Observability<'a>>) -> GenerationRun<'_> {
+        let obs = obs.into();
         let mut run = GenerationRun::new(&self.runtime, self.config.clone());
-        if let Some(m) = monitor {
-            run = run.with_monitor(m);
+        if let Some(m) = obs.monitor {
+            run = run.with_monitor(m.clone());
         }
-        if let Some(t) = telemetry {
-            run = run.with_telemetry(t);
+        if let Some(t) = obs.telemetry {
+            run = run.with_telemetry(t.clone());
         }
-        Ok(run.run(formatter.as_ref(), factory)?)
+        run
     }
 
     /// Generate this node's shard of every table into `dir` — the
@@ -534,28 +524,16 @@ impl PdgfProject {
         Ok(sched.run_node(&self.runtime, node, formatter.as_ref(), &mut make)?)
     }
 
-    /// Generate every table into counting null sinks — the CPU-bound
-    /// configuration of the paper's experiments.
-    pub fn generate_to_null(&self, monitor: Option<Monitor>) -> Result<RunReport, PdgfError> {
-        self.generate_to_null_observed(monitor, None)
-    }
-
-    /// [`generate_to_null`](Self::generate_to_null) with an optional
-    /// [`Telemetry`] attached as well.
-    pub fn generate_to_null_observed(
+    /// Generate every table as CSV into counting null sinks — the
+    /// CPU-bound configuration of the paper's experiments. `obs` attaches
+    /// observers as in [`generate_to_dir`](Self::generate_to_dir).
+    pub fn generate_to_null<'a>(
         &self,
-        monitor: Option<Monitor>,
-        telemetry: Option<Telemetry>,
+        obs: impl Into<Observability<'a>>,
     ) -> Result<RunReport, PdgfError> {
-        let formatter = CsvFormatter::new();
-        let mut run = GenerationRun::new(&self.runtime, self.config.clone());
-        if let Some(m) = monitor {
-            run = run.with_monitor(m);
-        }
-        if let Some(t) = telemetry {
-            run = run.with_telemetry(t);
-        }
-        Ok(run.run(&formatter, NullSinkFactory)?)
+        Ok(self
+            .observed_run(obs)
+            .run(&CsvFormatter::new(), NullSinkFactory)?)
     }
 
     /// Render one table to a string (testing and previews).
@@ -692,24 +670,21 @@ mod tests {
     }
 
     #[test]
-    fn row_path_escape_hatch_matches_columnar_output() {
-        let columnar = Pdgf::from_schema(schema()).workers(0).build().unwrap();
-        let row = Pdgf::from_schema(schema())
-            .workers(0)
-            .columnar(false)
-            .build()
-            .unwrap();
-        assert!(columnar.config().columnar_enabled());
-        assert!(!row.config().columnar_enabled());
-        for format in [
-            OutputFormat::Csv,
-            OutputFormat::Json,
-            OutputFormat::Xml,
-            OutputFormat::Sql,
-        ] {
+    fn table_render_matches_row_reference_renderer() {
+        let project = Pdgf::from_schema(schema()).workers(0).build().unwrap();
+        let rt = project.runtime();
+        let (table, t) = rt.table_by_name("t").unwrap();
+        for format in OutputFormat::all() {
+            let mut reference = Vec::new();
+            pdgf_runtime::render_reference(
+                rt,
+                &pdgf_runtime::TableJob::full_table(table, t.size),
+                format.formatter().as_ref(),
+                &mut reference,
+            );
             assert_eq!(
-                columnar.table_to_string("t", format).unwrap(),
-                row.table_to_string("t", format).unwrap()
+                project.table_to_string("t", format).unwrap().as_bytes(),
+                reference
             );
         }
     }
@@ -755,7 +730,9 @@ mod tests {
     fn generate_to_dir_writes_files() {
         let dir = std::env::temp_dir().join(format!("pdgf-facade-{}", std::process::id()));
         let project = Pdgf::from_schema(schema()).workers(2).build().unwrap();
-        let report = project.generate_to_dir(&dir, OutputFormat::Csv).unwrap();
+        let report = project
+            .generate_to_dir(&dir, OutputFormat::Csv, None)
+            .unwrap();
         assert_eq!(report.total_rows(), 50);
         let content = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert_eq!(content.lines().count(), 50);
@@ -769,7 +746,9 @@ mod tests {
         let project = Pdgf::from_schema(schema()).workers(2).build().unwrap();
 
         let whole = base.join("whole");
-        project.generate_to_dir(&whole, OutputFormat::Csv).unwrap();
+        project
+            .generate_to_dir(&whole, OutputFormat::Csv, None)
+            .unwrap();
         let reference = std::fs::read(whole.join("t.csv")).unwrap();
 
         let shards = base.join("shards");
@@ -794,8 +773,8 @@ mod tests {
     #[test]
     fn generate_to_null_reports_bytes() {
         let project = Pdgf::from_schema(schema()).workers(2).build().unwrap();
-        let monitor = Monitor::new();
-        let report = project.generate_to_null(Some(monitor.clone())).unwrap();
+        let monitor = pdgf_runtime::Monitor::new();
+        let report = project.generate_to_null(&monitor).unwrap();
         assert_eq!(report.total_rows(), 50);
         assert_eq!(monitor.snapshot().bytes, report.total_bytes());
     }

@@ -16,7 +16,9 @@
 //! Range responses stream with `Transfer-Encoding: chunked`, one chunk
 //! per work package, flushed per package — the reader's consumption
 //! rate drives the per-request window exactly as on the TCP protocol,
-//! so a slow HTTP client stalls only its own request. When the range
+//! so a slow HTTP client stalls only its own request. A range whose
+//! rendering fails partway closes the connection without the terminal
+//! `0` chunk, so the truncated body never looks complete. When the range
 //! was clamped to `max_request_rows` the response carries the
 //! remainder's cursor in both a `Link: <...>; rel="next"` header and
 //! `X-Pdgf-Next` (the bare token); chaining the links concatenates
@@ -26,7 +28,8 @@
 //! `Connection: close` (the parser cannot trust the stream any more);
 //! semantic errors keep the connection: unknown model/table or row off
 //! the end → `404`, bad parameters → `400`, range out of bounds →
-//! `416`, method other than GET → `405`, service shutting down → `503`.
+//! `416`, method other than GET → `405`, service shutting down → `503`,
+//! a point lookup whose render failed → `500`.
 //! Over-capacity connects are refused with `503` before parsing.
 //! Responses carry no `Date` header: the data plane is deliberately
 //! clock-free (see the `wall-clock` audit rule).
@@ -447,7 +450,8 @@ fn rows(
     }
     let conn = if keep { "keep-alive" } else { "close" };
     write!(writer, "Connection: {conn}\r\n\r\n")?;
-    for package in admitted.stream {
+    let mut stream = admitted.stream;
+    while let Some(package) = stream.next_package() {
         if package.is_empty() {
             // A zero-length chunk would terminate the body early.
             continue;
@@ -457,6 +461,12 @@ fn rows(
         writer.write_all(b"\r\n")?;
         // Flush per package: reader-driven backpressure, as on TCP.
         writer.flush()?;
+    }
+    if !stream.is_complete() {
+        // No terminal chunk: the error closes the connection, and the
+        // client sees a truncated body instead of a complete one.
+        writer.flush()?;
+        return Err(std::io::Error::other(SubmitError::Incomplete.to_string()));
     }
     writer.write_all(b"0\r\n\r\n")?;
     writer.flush()
@@ -515,6 +525,7 @@ fn submit_error(
         SubmitError::RangeOutOfBounds { .. } => (416, "Range Not Satisfiable"),
         SubmitError::TooLarge { .. } => (400, "Bad Request"),
         SubmitError::ShuttingDown => (503, "Service Unavailable"),
+        SubmitError::Incomplete => (500, "Internal Server Error"),
     };
     error_response(writer, status, reason, keep, &e.to_string(), &[])
 }

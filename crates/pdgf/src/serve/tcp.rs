@@ -23,9 +23,11 @@
 //! `model/table` against a multi-model registry.
 //!
 //! The server answers with zero or more `D` (data) or `J` (JSON) frames
-//! followed by a terminal `Z` (end, empty payload) — or a single `E`
-//! (error, message payload) instead, which ends the request but not the
-//! connection. Each `D` frame carries one work package's formatted
+//! followed by a terminal `Z` (end, empty payload) — or an `E` (error,
+//! message payload) instead of the `Z`, which ends the request but not the
+//! connection. A range whose rendering fails partway ends with `E` after
+//! the data frames already sent, so a failed response never looks
+//! complete. Each `D` frame carries one work package's formatted
 //! bytes; concatenating a request's `D` payloads in arrival order
 //! yields the response body. When a `RANGE` was clamped to the
 //! service's `max_request_rows` cap, a `C` (cursor) frame precedes the
@@ -41,7 +43,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use pdgf_output::StreamSink;
-use pdgf_runtime::{RowRequest, RowService};
+use pdgf_runtime::{RowRequest, RowService, SubmitError};
 
 use super::cursor::Cursor;
 use super::{info_json, stats_json, ServerShared};
@@ -262,7 +264,7 @@ fn answer<W: Write + Send>(
 
 /// Serve `start..end` with clamped admission: data frames, then — when
 /// the range exceeded the per-request cap — a `C` frame carrying the
-/// remainder's token, then `Z`.
+/// remainder's token, then `Z`. A stream that ends early ends with `E`.
 #[allow(clippy::too_many_arguments)]
 fn stream_range<W: Write + Send>(
     service: &RowService,
@@ -280,11 +282,15 @@ fn stream_range<W: Write + Send>(
             Arc::from(format.formatter()),
         )
         .map_err(|e| AnswerError::Request(e.to_string()))?;
-    for package in admitted.stream {
+    let mut stream = admitted.stream;
+    while let Some(package) = stream.next_package() {
         write_frame(sink, TAG_DATA, &package)?;
         // Flush per package so slow readers exert backpressure on
         // their own request window, not on a server-side buffer.
         flush(sink)?;
+    }
+    if !stream.is_complete() {
+        return Err(AnswerError::Request(SubmitError::Incomplete.to_string()));
     }
     if let Some(resume_at) = admitted.resume_at {
         let token = Cursor {

@@ -54,7 +54,7 @@ fn main() {
             }
         });
         let report = project
-            .generate_to_null(Some(monitor.clone()))
+            .generate_to_null(&monitor)
             .expect("generation succeeds");
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         ticker.join().expect("ticker joins");
@@ -73,7 +73,7 @@ fn main() {
     for format in [OutputFormat::Csv, OutputFormat::Xml] {
         let dir = std::path::Path::new(&out_dir).join(format.extension());
         let report = project
-            .generate_to_dir(&dir, format)
+            .generate_to_dir(&dir, format, None)
             .expect("file generation succeeds");
         println!(
             "\n{} files in {}:",

@@ -1,17 +1,20 @@
-//! Byte-identity of the columnar batch engine against the row path.
+//! Byte-identity of the columnar batch engine against the row reference
+//! renderer.
 //!
-//! The columnar path replays exactly the row path's per-cell RNG draw
-//! sequence, so for every shipped generator kind, every output format,
-//! every worker count, and ragged package sizes, the two paths must
-//! produce the same bytes. These tests are the enforcement of that
-//! contract across the full generator zoo (the per-kernel unit tests in
-//! `pdgf-gen` check the same thing generator by generator).
+//! The engine's package body replays exactly the row path's per-cell RNG
+//! draw sequence, so for every shipped generator kind, every output
+//! format, every worker count, and ragged package sizes, it must produce
+//! the bytes of the row-at-a-time reference renderer
+//! ([`render_reference`]), which no engine calls. These tests are the
+//! enforcement of that contract across the full generator zoo (the
+//! per-kernel unit tests in `pdgf-gen` check the same thing generator by
+//! generator).
 
 mod zoo;
 
 use pdgf_gen::{MapResolver, SchemaRuntime};
 use pdgf_output::{CsvFormatter, Formatter, JsonFormatter, MemorySink, SqlFormatter, XmlFormatter};
-use pdgf_runtime::{generate_table_range, RunConfig};
+use pdgf_runtime::{generate_table_range, render_reference, RunConfig, TableJob};
 use pdgf_schema::model::DateFormat;
 use pdgf_schema::value::Date;
 use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
@@ -22,34 +25,46 @@ fn expr(s: &str) -> Expr {
     Expr::parse(s).expect("literal expression")
 }
 
+/// The whole table at `update` through the engine.
 fn render(
     rt: &SchemaRuntime,
     table: u32,
+    update: u32,
     formatter: &dyn Formatter,
     workers: usize,
     package_rows: u64,
-    columnar: bool,
 ) -> String {
     let mut sink = MemorySink::new();
     generate_table_range(
         rt,
         table,
-        0,
+        update,
         0..rt.tables()[table as usize].size,
         formatter,
         &mut sink,
-        &RunConfig::new()
-            .workers(workers)
-            .package_rows(package_rows)
-            .columnar(columnar),
+        &RunConfig::new().workers(workers).package_rows(package_rows),
         None,
     )
     .expect("generate");
     sink.as_str().to_string()
 }
 
+/// The whole table at `update` through the row reference renderer.
+fn reference(rt: &SchemaRuntime, table: u32, update: u32, formatter: &dyn Formatter) -> String {
+    let size = rt.tables()[table as usize].size;
+    let mut out = Vec::new();
+    render_reference(
+        rt,
+        &TableJob::shard(table, update, 0..size, size),
+        formatter,
+        &mut out,
+    );
+    String::from_utf8(out).expect("formatters emit UTF-8")
+}
+
 /// The full matrix: every generator kind (via the zoo schema) × all four
-/// formats × {1, 2, 4} workers (plus inline) × ragged package sizes.
+/// formats × {1, 2, 4} workers (plus inline) × ragged package sizes,
+/// against the row reference renderer.
 #[test]
 fn columnar_matches_row_path_across_generators_formats_and_workers() {
     let schema = generator_zoo();
@@ -63,13 +78,11 @@ fn columnar_matches_row_path_across_generators_formats_and_workers() {
     ];
     for table in 0..rt.tables().len() as u32 {
         for formatter in formatters {
-            // Row-path reference rendered once, inline, with a package
-            // size that does not divide the table evenly.
-            let reference = render(&rt, table, formatter, 0, 61, false);
+            let reference = reference(&rt, table, 0, formatter);
             for workers in [0usize, 1, 2, 4] {
                 for pkg in [7u64, 61, 100_000] {
                     assert_eq!(
-                        render(&rt, table, formatter, workers, pkg, true),
+                        render(&rt, table, 0, formatter, workers, pkg),
                         reference,
                         "table={table} format={} workers={workers} pkg={pkg}",
                         formatter.name()
@@ -80,33 +93,22 @@ fn columnar_matches_row_path_across_generators_formats_and_workers() {
     }
 }
 
-/// Update epochs shift the hoisted seed prefix; identity must hold off
-/// epoch 0 too.
+/// Update epochs shift the hoisted seed prefix; identity with the
+/// reference must hold off epoch 0 too.
 #[test]
 fn columnar_matches_row_path_on_update_epochs() {
     let schema = generator_zoo();
     let rt = SchemaRuntime::build(&schema, &MapResolver::new()).expect("zoo builds");
-    let size = rt.tables()[1].size;
+    let formatters: [&dyn Formatter; 2] = [&CsvFormatter::new(), &XmlFormatter];
     for update in [1u32, 5] {
-        let run = |columnar: bool| {
-            let mut sink = MemorySink::new();
-            generate_table_range(
-                &rt,
-                1,
-                update,
-                0..size,
-                &CsvFormatter::new(),
-                &mut sink,
-                &RunConfig::new()
-                    .workers(2)
-                    .package_rows(31)
-                    .columnar(columnar),
-                None,
-            )
-            .expect("generate");
-            sink.as_str().to_string()
-        };
-        assert_eq!(run(true), run(false), "update={update}");
+        for formatter in formatters {
+            assert_eq!(
+                render(&rt, 1, update, formatter, 2, 31),
+                reference(&rt, 1, update, formatter),
+                "update={update} format={}",
+                formatter.name()
+            );
+        }
     }
 }
 
@@ -182,7 +184,7 @@ fn sql_type_for(spec: &GeneratorSpec) -> SqlType {
 
 proptest! {
     /// Random mini-schemas: any combination of pooled generators, rows,
-    /// seed, workers, and package size is byte-identical across paths.
+    /// seed, workers, and package size renders the reference bytes.
     #[test]
     fn random_mini_schemas_are_byte_identical_across_paths(
         cols in prop::collection::vec(0usize..40, 1..6),
@@ -206,8 +208,8 @@ proptest! {
             &SqlFormatter::new(),
         ];
         for formatter in formatters {
-            let row_path = render(&rt, 0, formatter, workers, package_rows, false);
-            let columnar = render(&rt, 0, formatter, workers, package_rows, true);
+            let row_path = reference(&rt, 0, 0, formatter);
+            let columnar = render(&rt, 0, 0, formatter, workers, package_rows);
             prop_assert_eq!(&columnar, &row_path, "format={}", formatter.name());
         }
     }

@@ -2,11 +2,12 @@
 //!
 //! The serve path never reads files: every answer is recomputed from the
 //! seeding hierarchy. These tests pin the contract for *every shipped
-//! generator kind* (via the shared generator zoo), all four output
-//! formats, and both engines (columnar batch and row path):
+//! generator kind* (via the shared generator zoo) and all four output
+//! formats, against the row reference renderer no engine calls:
 //!
 //! * tiling a table with point lookups, plus the format's `begin`/`end`
-//!   framing, is byte-equal to a full `pdgf generate`-style batch file;
+//!   framing, is byte-equal to the reference rendering of the whole
+//!   table, and so is a served range over the whole table;
 //! * the public `PdgfProject::row` values, rendered through the same
 //!   formatter, are byte-equal to the service's point-lookup response;
 //! * both hold off update epoch 0.
@@ -17,74 +18,91 @@ use std::sync::Arc;
 
 use pdgf::{OutputFormat, Pdgf};
 use pdgf_gen::{MapResolver, SchemaRuntime};
-use pdgf_output::{Formatter, MemorySink};
-use pdgf_runtime::{generate_table_range, table_meta, RowService, RunConfig, ServeConfig};
+use pdgf_output::Formatter;
+use pdgf_runtime::{render_reference, table_meta, RowRequest, RowService, ServeConfig, TableJob};
 use zoo::generator_zoo;
 
 fn runtime() -> Arc<SchemaRuntime> {
     Arc::new(SchemaRuntime::build(&generator_zoo(), &MapResolver::new()).expect("zoo builds"))
 }
 
-/// Batch-engine reference bytes: the whole table as one generated file.
-fn whole_file(
-    rt: &SchemaRuntime,
-    table: u32,
-    update: u32,
-    formatter: &dyn Formatter,
-    columnar: bool,
-) -> Vec<u8> {
-    let mut sink = MemorySink::new();
-    generate_table_range(
+/// Reference bytes: the whole table at `update`, rendered row at a time.
+fn whole_file(rt: &SchemaRuntime, table: u32, update: u32, formatter: &dyn Formatter) -> Vec<u8> {
+    let size = rt.tables()[table as usize].size;
+    let mut out = Vec::new();
+    render_reference(
         rt,
-        table,
-        update,
-        0..rt.tables()[table as usize].size,
+        &TableJob::shard(table, update, 0..size, size),
         formatter,
-        &mut sink,
-        &RunConfig::new()
-            .workers(0)
-            .package_rows(61)
-            .columnar(columnar),
-        None,
-    )
-    .expect("batch generation");
-    sink.into_inner()
+        &mut out,
+    );
+    out
 }
 
-/// Every generator kind × all four formats × both engines: point lookups
-/// tile the exact batch file (body rows are unframed fragments; the
-/// format's `begin`/`end` bytes are added once around them).
+/// Every generator kind × all four formats: point lookups tile the exact
+/// reference file (body rows are unframed fragments; the format's
+/// `begin`/`end` bytes are added once around them).
 #[test]
 fn point_lookups_tile_whole_files_for_every_generator_kind() {
     let rt = runtime();
-    for columnar in [true, false] {
+    let service = RowService::new(
+        Arc::clone(&rt),
+        ServeConfig::new().workers(2).package_rows(19),
+        None,
+    );
+    for format in OutputFormat::all() {
+        let formatter: Arc<dyn Formatter> = Arc::from(format.formatter());
+        for table in 0..rt.tables().len() as u32 {
+            let meta = table_meta(&rt, table);
+            let whole = whole_file(&rt, table, 0, formatter.as_ref());
+            let mut tiled = Vec::new();
+            formatter.begin(&mut tiled, &meta);
+            for row in 0..rt.tables()[table as usize].size {
+                tiled.extend_from_slice(
+                    &service
+                        .row_bytes(table, 0, row, Arc::clone(&formatter))
+                        .expect("point lookup"),
+                );
+            }
+            formatter.end(&mut tiled, &meta);
+            assert_eq!(
+                tiled,
+                whole,
+                "table={table} format={}: tiled lookups != reference file",
+                formatter.name()
+            );
+        }
+    }
+}
+
+/// Every generator kind × all four formats × ragged package sizes: a
+/// served range over the whole table, positionally framed, is the
+/// reference file.
+#[test]
+fn served_ranges_match_the_reference_for_every_generator_kind() {
+    let rt = runtime();
+    for package_rows in [7u64, 100_000] {
         let service = RowService::new(
             Arc::clone(&rt),
-            ServeConfig::new()
-                .workers(2)
-                .package_rows(19)
-                .columnar(columnar),
+            ServeConfig::new().workers(2).package_rows(package_rows),
             None,
         );
         for format in OutputFormat::all() {
             let formatter: Arc<dyn Formatter> = Arc::from(format.formatter());
             for table in 0..rt.tables().len() as u32 {
-                let meta = table_meta(&rt, table);
-                let whole = whole_file(&rt, table, 0, formatter.as_ref(), columnar);
-                let mut tiled = Vec::new();
-                formatter.begin(&mut tiled, &meta);
-                for row in 0..rt.tables()[table as usize].size {
-                    tiled.extend_from_slice(
-                        &service
-                            .row_bytes(table, 0, row, Arc::clone(&formatter))
-                            .expect("point lookup"),
-                    );
+                let size = rt.tables()[table as usize].size;
+                let mut served = Vec::new();
+                let mut stream = service
+                    .submit(RowRequest::range(table, 0, 0..size), Arc::clone(&formatter))
+                    .expect("range admitted");
+                for package in stream.by_ref() {
+                    served.extend_from_slice(&package);
                 }
-                formatter.end(&mut tiled, &meta);
+                assert!(stream.is_complete());
                 assert_eq!(
-                    tiled,
-                    whole,
-                    "table={table} format={} columnar={columnar}: tiled lookups != batch file",
+                    served,
+                    whole_file(&rt, table, 0, formatter.as_ref()),
+                    "table={table} format={} package_rows={package_rows}",
                     formatter.name()
                 );
             }
@@ -129,31 +147,26 @@ fn api_row_values_agree_with_serve_bytes() {
 }
 
 /// Off epoch 0: point lookups at a later update epoch tile that epoch's
-/// batch file (CSV has no framing, so the tiles are the whole file).
+/// reference file (CSV has no framing, so the tiles are the whole file).
 #[test]
 fn update_epoch_lookups_tile_that_epochs_file() {
     let rt = runtime();
     let csv: Arc<dyn Formatter> = Arc::from(OutputFormat::Csv.formatter());
-    for columnar in [true, false] {
-        let service = RowService::new(
-            Arc::clone(&rt),
-            ServeConfig::new()
-                .workers(2)
-                .package_rows(19)
-                .columnar(columnar),
-            None,
-        );
-        for update in [1u32, 3] {
-            let whole = whole_file(&rt, 1, update, csv.as_ref(), columnar);
-            let mut tiled = Vec::new();
-            for row in 0..rt.tables()[1].size {
-                tiled.extend_from_slice(
-                    &service
-                        .row_bytes(1, update, row, Arc::clone(&csv))
-                        .expect("point lookup"),
-                );
-            }
-            assert_eq!(tiled, whole, "update={update} columnar={columnar}");
+    let service = RowService::new(
+        Arc::clone(&rt),
+        ServeConfig::new().workers(2).package_rows(19),
+        None,
+    );
+    for update in [1u32, 3] {
+        let whole = whole_file(&rt, 1, update, csv.as_ref());
+        let mut tiled = Vec::new();
+        for row in 0..rt.tables()[1].size {
+            tiled.extend_from_slice(
+                &service
+                    .row_bytes(1, update, row, Arc::clone(&csv))
+                    .expect("point lookup"),
+            );
         }
+        assert_eq!(tiled, whole, "update={update}");
     }
 }
