@@ -239,27 +239,35 @@ impl Formatter for CsvFormatter {
         // quoting decision can be hoisted: one vectorizable scan over the
         // arena. A column whose arena contains no delimiter, quote, or
         // newline bytes takes `push_field`'s unquoted branch for every
-        // cell — splice those cells with a plain memcpy.
-        let clean: Vec<bool> = match delim {
-            Some(d) => batch
-                .columns()
-                .iter()
-                .map(|c| {
-                    c.as_text().is_some_and(|t| {
-                        // Four memchr passes (slice::contains specializes
-                        // to SIMD for u8) beat one scalar multi-needle scan.
-                        let b = t.arena().as_bytes();
-                        !(b.contains(&d)
-                            || b.contains(&b'"')
-                            || b.contains(&b'\n')
-                            || b.contains(&b'\r'))
-                    })
-                })
-                .collect(),
-            None => vec![false; batch.columns().len()],
+        // cell — splice those cells with a plain memcpy. Bit `i` of the
+        // set marks column `i` clean; it lives on the stack up to 256
+        // columns, so only wider tables allocate it per package.
+        let columns = batch.columns();
+        let words = columns.len().div_ceil(64);
+        let mut inline = [0u64; 4];
+        let mut wide = Vec::new();
+        let clean: &mut [u64] = if words <= inline.len() {
+            &mut inline[..words]
+        } else {
+            wide.resize(words, 0);
+            &mut wide
         };
+        if let Some(d) = delim {
+            for (i, c) in columns.iter().enumerate() {
+                let is_clean = c.as_text().is_some_and(|t| {
+                    // Four memchr passes (slice::contains specializes
+                    // to SIMD for u8) beat one scalar multi-needle scan.
+                    let b = t.arena().as_bytes();
+                    !(b.contains(&d)
+                        || b.contains(&b'"')
+                        || b.contains(&b'\n')
+                        || b.contains(&b'\r'))
+                });
+                clean[i / 64] |= u64::from(is_clean) << (i % 64);
+            }
+        }
         for r in 0..batch.rows() {
-            for (i, col) in batch.columns().iter().enumerate() {
+            for (i, col) in columns.iter().enumerate() {
                 if i > 0 {
                     match delim {
                         Some(d) => out.push(d),
@@ -267,7 +275,9 @@ impl Formatter for CsvFormatter {
                     }
                 }
                 match col.value_ref(r) {
-                    ValueRef::Text(s) if clean[i] => out.extend_from_slice(s.as_bytes()),
+                    ValueRef::Text(s) if clean[i / 64] >> (i % 64) & 1 == 1 => {
+                        out.extend_from_slice(s.as_bytes())
+                    }
                     v => self.cell(out, v),
                 }
             }
@@ -947,6 +957,49 @@ mod tests {
                 String::from_utf8_lossy(&by_col),
                 "{} typed transpose diverged",
                 f.name()
+            );
+        }
+    }
+
+    /// The CSV clean-column set spans several words past 64 columns and
+    /// moves off the stack past 256; every width renders like the row path.
+    #[test]
+    fn csv_columnar_matches_row_path_on_wide_tables() {
+        for width in [3usize, 64, 65, 130, 300] {
+            let names: Vec<String> = (0..width).map(|c| format!("c{c}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let m = TableMeta::new("wide", &names);
+            let mut batch = pdgf_schema::ColumnBatch::new();
+            batch.begin(width, 4);
+            for (c, col) in batch.columns_mut().iter_mut().enumerate() {
+                match c % 3 {
+                    0 => col.longs_mut().extend([c as i64, -1, 0, 7]),
+                    1 => {
+                        let t = col.text_mut();
+                        for r in 0..4 {
+                            t.push_str(&format!("clean{c}_{r}"));
+                        }
+                    }
+                    _ => {
+                        let t = col.text_mut();
+                        for s in ["a,b", "q\"d", "plain", "n\nl"] {
+                            t.push_str(s);
+                        }
+                    }
+                }
+            }
+            let f = CsvFormatter::new();
+            let mut by_row = Vec::new();
+            for r in 0..batch.rows() {
+                let row: Vec<Value> = batch.columns().iter().map(|c| c.value(r)).collect();
+                f.row(&mut by_row, &m, &row);
+            }
+            let mut by_col = Vec::new();
+            f.rows_columnar(&mut by_col, &m, &batch);
+            assert_eq!(
+                String::from_utf8_lossy(&by_row),
+                String::from_utf8_lossy(&by_col),
+                "width {width}"
             );
         }
     }

@@ -1,26 +1,25 @@
-//! The worker/output-stage handoff primitives of the scheduler.
+//! A ticket counter and a bounded handoff channel.
 //!
-//! The parallel pipeline of [`crate::scheduler`] rests on exactly two
-//! pieces of cross-thread coordination, factored out here so they can be
-//! model-checked in isolation (see `tests/loom.rs`):
+//! The runtime's worker pool (`crate::pool`) does not use these. They
+//! stay public because the benchmark's replay, the A/B throughput bench
+//! and the loom models drive them directly (see `tests/loom.rs`):
 //!
-//! * [`TicketCounter`] — the global package queue. Packages are uniform,
-//!   so instead of work stealing every worker claims the next index off
-//!   one atomic counter; each ticket is handed out exactly once.
-//! * [`channel`] — the bounded MPSC channel carrying formatted package
-//!   buffers from workers to the single output stage, with backpressure
+//! * [`TicketCounter`] — a package queue as one atomic counter. Packages
+//!   are uniform, so instead of work stealing every worker claims the
+//!   next index; each ticket is handed out exactly once.
+//! * [`channel`] — a bounded MPSC channel carrying formatted package
+//!   buffers from workers to a single output stage, with backpressure
 //!   (workers stall rather than buffering the whole project when a sink
 //!   is slow) and hang-up semantics in both directions: dropping the
 //!   [`Receiver`] makes every [`Sender::send`] fail (how a sink error
-//!   stops the pool), and dropping all senders ends the receiver's
+//!   stops the workers), and dropping all senders ends the receiver's
 //!   iteration (how the output stage knows the run is complete).
 //!
 //! Everything is built on the [`crate::sync`] facade, so compiling with
 //! `--cfg loom` swaps the primitives for loom's instrumented versions.
 //! Lock poisoning is deliberately ignored (`PoisonError::into_inner`):
 //! the protected state is a plain queue that stays valid if a peer
-//! panicked mid-send, and the scheduler's own lost-package accounting
-//! catches any shortfall.
+//! panicked mid-send.
 
 use std::collections::VecDeque;
 use std::fmt;

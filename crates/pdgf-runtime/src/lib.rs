@@ -12,7 +12,7 @@
 //! * [`package`] — work packages, row-range partitioning, and the one
 //!   package renderer every engine shares (plus the row reference
 //!   renderer the identity suites check it against),
-//! * [`scheduler`] — the single-node worker pool with sorted output,
+//! * [`scheduler`] — project runs with sorted output, on the row service's pool,
 //! * [`meta`] — the meta-scheduler: sharding a project across nodes,
 //! * [`update`] — the update black box: deterministic insert/update/
 //!   delete batches per abstract time unit,
@@ -24,12 +24,12 @@
 //!   queue-depth sampling,
 //! * [`telemetry`] — the handle tying events + metrics + the stall
 //!   watchdog to a run ([`Observability`] attaches them),
-//! * [`serve`] — the on-the-fly row service: one persistent pool
+//! * [`serve`] — the on-the-fly row service: the worker pool kept alive,
 //!   answering row-range and point-lookup requests on demand, byte-
 //!   identical to batch output,
 //! * [`driver`] — whole-project generation runs and reports,
-//! * [`handoff`] — the worker/output-stage handoff primitives (ticket
-//!   counter and bounded channel), model-checkable under `--cfg loom`.
+//! * [`handoff`] — a ticket counter and bounded channel, driven by the
+//!   benchmark replay, the A/B bench and loom (`--cfg loom`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -41,6 +41,7 @@ pub mod meta;
 pub mod metrics;
 pub mod monitor;
 pub mod package;
+mod pool;
 pub mod scheduler;
 pub mod serve;
 mod sync;

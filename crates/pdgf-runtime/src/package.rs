@@ -185,21 +185,15 @@ pub fn packages_for(
     package_rows: u64,
 ) -> Vec<WorkPackage> {
     assert!(package_rows > 0, "package size must be positive");
-    let mut out = Vec::new();
-    let mut start = rows.start;
-    let mut seq = 0;
-    while start < rows.end {
-        let end = rows.end.min(start + package_rows);
-        out.push(WorkPackage {
-            seq,
-            table,
-            update,
-            rows: start..end,
-        });
-        start = end;
-        seq += 1;
-    }
-    out
+    let job = TableJob {
+        table,
+        update,
+        rows,
+        framing: Framing::none(),
+    };
+    (0..job.package_count(package_rows))
+        .map(|seq| job.package(seq, package_rows).0)
+        .collect()
 }
 
 /// Flatten every job of a project into one global package list, job-major

@@ -1,51 +1,37 @@
-//! The project-wide scheduler: one worker pool generating the work
-//! packages of *every* table with sorted, per-table output streams.
+//! The project-wide scheduler: generating the work packages of *every*
+//! table with sorted, per-table output streams.
 //!
 //! The pipeline is the paper's data flow: scheduler → workers (seed +
-//! generate + format) → output system (reorder + sink). Where earlier
-//! revisions spawned a fresh pool per table and ran tables strictly
-//! sequentially — paying the spawn cost for every small table and idling
-//! workers during each table's tail — [`run_project`] creates one pool
-//! per run and drains a single global queue of packages spanning all
-//! tables (and update epochs). Workers claim packages from a shared
-//! ticket counter (packages are uniform, so a ticket counter beats work
-//! stealing), format rows into recycled byte buffers, and hand completed
-//! buffers to the output stage through a bounded channel for
-//! backpressure. The output stage routes each package to its job's
-//! [`ReorderBuffer`] and sink, so every table's stream stays byte-
-//! identical to a sequential run even while tables overlap in time, and
-//! written buffers return to a [`BufferPool`] shared with the workers —
-//! after warm-up the steady state allocates nothing per package.
+//! generate + format) → output system (reorder + sink). [`run_project`]
+//! runs a whole project as ONE request of the runtime's worker pool, the
+//! pool the row service answers ranges with: its packages are the jobs'
+//! packages in job-major order, so workers stay busy across table
+//! boundaries. `workers` scoped threads render; the calling thread reads
+//! the packages back in order, writes each to its job's sink and hands
+//! the buffer back. With `workers == 0` the run is a plain loop on the
+//! calling thread, the reference the byte checks compare against.
 //!
-//! Every package runs through the one package body shared with the row
-//! service, [`render_package`](crate::package). Framing ([`Framing`])
-//! makes node sharding exact for framed formats: a shard emits the
-//! formatter's `begin`/`end` bytes only when it owns the start/end of the
-//! table, and those bytes travel inside the job's first and last package,
-//! so concatenated shard outputs equal the single-node byte stream for
-//! CSV-with-header, XML, and SQL alike.
+//! Framing ([`Framing`](crate::Framing)) makes node sharding exact for
+//! framed formats: a shard emits the formatter's `begin`/`end` bytes only
+//! when it owns the start/end of the table, and those bytes travel inside
+//! the job's first and last package, so concatenated shard outputs equal
+//! the single-node byte stream.
 //!
-//! Observability rides along without touching the bytes: a run accepts an
-//! [`Observability`] bundle (progress [`Monitor`] and/or [`Telemetry`]).
-//! With telemetry attached, workers time each package's generate and
-//! format phases into per-worker histograms and the output stage
-//! publishes run/job/package events — all copies of counters flowing
-//! outward, nothing flowing back into generation, so output stays a pure
-//! function of (schema, seed, format) with or without observers.
+//! Observers ([`Observability`]) see copies of counters and events, timed
+//! per package; nothing flows back into generation, so output stays a
+//! pure function of (schema, seed, format) with or without them.
 
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
 use pdgf_gen::SchemaRuntime;
-use pdgf_output::{BufferPool, Formatter, ReorderBuffer, Sink, TableMeta};
+use pdgf_output::{Formatter, Sink, TableMeta};
 
-use crate::handoff::{channel, TicketCounter};
 use crate::metrics::{now_ns, PackageTimings, WorkerPhases};
 use crate::monitor::TableHandle;
-use crate::package::{
-    package_capacity_hint, render_package, Framing, TableJob, WorkPackage, WorkerState,
-};
+use crate::package::{TableJob, WorkerState};
+use crate::pool::{Held, Pool, Reader, Request, Stop};
 use crate::telemetry::{JobInfo, Observability, RunScope};
 
 /// Scheduler configuration, built fluently and validated at set time:
@@ -59,7 +45,7 @@ use crate::telemetry::{JobInfo, Observability, RunScope};
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Worker threads. `0` runs inline on the calling thread (no thread
-    /// or channel overhead — the configuration for latency microbenches).
+    /// or queue overhead — the configuration for latency microbenches).
     pub(crate) workers: usize,
     /// Rows per work package; always ≥ 1.
     pub(crate) package_rows: u64,
@@ -123,7 +109,7 @@ pub fn available_workers() -> usize {
 #[derive(Debug, Clone, Default)]
 pub struct TableRunStats {
     /// Rows actually written to the sink (counted from the packages the
-    /// output stage wrote, not assumed from the requested range).
+    /// reader wrote, not assumed from the requested range).
     pub rows: u64,
     /// Bytes this run wrote to the sink — the delta produced by this job,
     /// not the sink's cumulative total, so reusing one sink across table
@@ -178,50 +164,20 @@ pub fn generate_table_range<'a>(
     cfg: &RunConfig,
     obs: impl Into<Observability<'a>>,
 ) -> io::Result<TableRunStats> {
-    let size = rt.tables()[table as usize].size;
-    let job = TableJob {
-        table,
-        update,
-        framing: Framing::for_range(&rows, size),
-        rows,
-    };
-    let stats = run_project(rt, &[job], formatter, &mut [sink], cfg, obs)?;
-    stats
-        .into_iter()
-        .next()
-        .ok_or_else(|| io::Error::other("run_project returned no stats for its single job"))
+    let job = TableJob::shard(table, update, rows, rt.tables()[table as usize].size);
+    let mut stats = run_project(rt, &[job], formatter, &mut [sink], cfg, obs)?;
+    Ok(stats.pop().unwrap_or_default())
 }
 
-/// Per-job bookkeeping of the output stage.
-struct JobOutput {
-    /// Packages of this job not yet written to the sink.
-    remaining: u64,
-    reorder: ReorderBuffer<(u64, u64, Vec<u8>, PackageTimings)>,
-    stats: TableRunStats,
-}
-
-/// Read-only context shared by the output-stage helpers: the run's static
-/// shape plus its (optional) observers.
+/// Read-only context of a run's reader: its observers and clock.
 struct RunCtx<'a> {
-    formatter: &'a dyn Formatter,
-    jobs: &'a [TableJob],
-    metas: &'a [TableMeta],
-    /// Per-job proven upper bound on formatted bytes per row, from the
-    /// abstract interpreter's column profiles. `None` when no finite
-    /// bound exists; package buffers are then sized by growth as before.
-    row_bounds: &'a [Option<u64>],
-    /// Per-job monitor handles, pre-registered at run start so the
-    /// per-package path indexes directly instead of scanning by name.
+    /// Per-job monitor handles, registered up front.
     handles: Option<&'a [TableHandle]>,
     scope: Option<&'a RunScope>,
     started: Instant,
 }
 
-/// One entry of a run's global package queue: the job it belongs to, its
-/// rows, and the share of the job's framing it carries.
-type QueuedPackage = (usize, WorkPackage, Framing);
-
-/// Generate every job of a project through one persistent worker pool.
+/// Generate every job of a project on the worker pool.
 ///
 /// `jobs[i]` writes to `sinks[i]`; each sink receives its job's bytes in
 /// row order (byte-identical to a sequential run of that job alone),
@@ -229,10 +185,10 @@ type QueuedPackage = (usize, WorkPackage, Framing);
 /// *not* [`finish`](Sink::finish)ed — that stays with the caller, which
 /// may reuse a sink across runs.
 ///
-/// On the first sink error the run aborts: the error is returned, and the
-/// channel hang-up stops every worker regardless of which job it was
-/// generating — an error on one table cannot deadlock workers that have
-/// moved on to the next.
+/// On the first sink error the run aborts and returns the error; the
+/// run's queued packages are cancelled, so workers that have moved on to
+/// the next table stop too. A panic while rendering a package is
+/// contained and returned as an error naming the table.
 ///
 /// `obs` attaches observers: `None`, `&Monitor`, `&Telemetry`, or a full
 /// [`Observability`]. Observers see lifecycle events and counters; they
@@ -249,313 +205,219 @@ pub fn run_project<'a>(
     let obs = obs.into();
     // audit:allow(wall-clock) run statistics only; never influences generated bytes
     let started = Instant::now();
-    let metas: Vec<TableMeta> = jobs.iter().map(|j| table_meta(rt, j.table)).collect();
+    let req = Request::new(
+        Held::Borrowed(rt),
+        Held::Borrowed(formatter),
+        jobs.to_vec(),
+        cfg.package_rows,
+    );
 
-    // Pre-register every job's table with the monitor so per-package
-    // recording is a direct handle bump, not a name scan under a lock.
-    // Registration order = job order, keeping first-seen order stable.
+    // Registering every job up front makes per-package recording a
+    // direct handle bump; job order keeps first-seen order stable.
     let handles: Option<Vec<TableHandle>> = obs.monitor.map(|m| {
-        metas
+        req.jobs
             .iter()
-            .map(|meta| m.register_table(&meta.name))
+            .map(|j| m.register_table(&j.meta.name))
             .collect()
     });
     let scope: Option<RunScope> = obs.telemetry.map(|t| {
         t.begin_run(
-            jobs.iter()
-                .zip(&metas)
-                .map(|(j, m)| JobInfo::new(m.name.clone(), j.rows.end.saturating_sub(j.rows.start)))
+            req.jobs
+                .iter()
+                .map(|j| {
+                    let rows = j.job.rows.end.saturating_sub(j.job.rows.start);
+                    JobInfo::new(j.meta.name.clone(), rows)
+                })
                 .collect(),
             cfg.workers,
         )
     });
 
-    let mut outputs: Vec<JobOutput> = jobs
-        .iter()
-        .map(|_| JobOutput {
-            remaining: 0,
-            reorder: ReorderBuffer::new(),
-            stats: TableRunStats::default(),
-        })
-        .collect();
-
-    // Proven per-row byte bounds from the abstract interpreter, used to
-    // pre-size package buffers to their final capacity. Purely an
-    // allocation hint: output bytes are identical with or without it.
-    let profiles = rt.profiles();
-    let row_bounds: Vec<Option<u64>> = jobs
-        .iter()
-        .zip(&metas)
-        .map(|(j, m)| formatter.max_row_bytes(m, &profiles[j.table as usize]))
-        .collect();
-
     let ctx = RunCtx {
-        formatter,
-        jobs,
-        metas: &metas,
-        row_bounds: &row_bounds,
         handles: handles.as_deref(),
         scope: scope.as_ref(),
         started,
     };
-    let result = run_phases(rt, &ctx, sinks, &mut outputs, cfg);
+    let mut stats = vec![TableRunStats::default(); jobs.len()];
+    // A job with no packages (an unframed rowless shard) completes here.
+    for (idx, job) in req.jobs.iter().enumerate() {
+        if job.packages == 0 {
+            ctx.finish_job(idx, &mut stats);
+        }
+    }
+    let result = if cfg.workers == 0 {
+        ctx.run_inline(&req, sinks, &mut stats)
+    } else {
+        ctx.run_pooled(req, sinks, &mut stats, cfg.workers)
+    };
 
     if let Some(scope) = scope {
         // Success or failure, the scope closes with a terminal
         // `RunFinished` carrying whatever was actually written — so a
         // subscriber draining to JSONL always sees a terminated stream
-        // (on errors: the `SinkError` from the output stage, then this).
-        let rows = outputs.iter().map(|o| o.stats.rows).sum();
-        let bytes = outputs.iter().map(|o| o.stats.bytes).sum();
+        // (on errors: the `SinkError` from the reader, then this).
+        let rows = stats.iter().map(|s| s.rows).sum();
+        let bytes = stats.iter().map(|s| s.bytes).sum();
         scope.finish(rows, bytes, started.elapsed().as_secs_f64());
     }
     result?;
-    Ok(outputs.into_iter().map(|o| o.stats).collect())
+    Ok(stats)
 }
 
-/// The run body: queue every job's packages, then execute them inline or
-/// on the pool.
-fn run_phases(
-    rt: &SchemaRuntime,
-    ctx: &RunCtx<'_>,
-    sinks: &mut [&mut dyn Sink],
-    outputs: &mut [JobOutput],
-    cfg: &RunConfig,
-) -> io::Result<()> {
-    // One global list, job-major. Framing rides inside each job's first
-    // and last package; a rowless job that owns framing gets one empty
-    // package, so only an unframed rowless shard completes right here.
-    let mut packages: Vec<QueuedPackage> = Vec::new();
-    for (idx, job) in ctx.jobs.iter().enumerate() {
-        let count = job.package_count(cfg.package_rows);
-        outputs[idx].remaining = count;
-        if count == 0 {
-            finish_job(ctx, idx, outputs);
-        }
-        packages.extend((0..count).map(|seq| {
-            let (pkg, framing) = job.package(seq, cfg.package_rows);
-            (idx, pkg, framing)
-        }));
-    }
+/// The error a contained render panic becomes: it names the table and
+/// the rows of the package that failed.
+fn render_panic(req: &Request<'_>, seq: u64) -> io::Error {
+    let (idx, pkg, _) = req.package(seq);
+    io::Error::other(format!(
+        "rendering table `{}` rows {}..{} panicked",
+        req.jobs[idx].meta.name, pkg.rows.start, pkg.rows.end
+    ))
+}
 
-    if packages.is_empty() {
-        return Ok(());
-    }
-    if cfg.workers == 0 {
-        run_inline(rt, ctx, &packages, sinks, outputs)
-    } else {
-        run_pool(rt, ctx, &packages, sinks, outputs, cfg)
+/// Shuts the pool down however the reader ends (a panicking sink too).
+struct ShutDownOnDrop<'p, 'a>(&'p Pool<'a>);
+
+impl Drop for ShutDownOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.shut_down();
     }
 }
 
-/// Stamp job `idx`'s completion time. Called exactly once per job, when
-/// its last package is written — or immediately for jobs with none.
-fn finish_job(ctx: &RunCtx<'_>, idx: usize, outputs: &mut [JobOutput]) {
-    outputs[idx].stats.seconds = ctx.started.elapsed().as_secs_f64();
-    if let Some(scope) = ctx.scope {
-        // A job with no packages never announced itself; `job_started`
-        // is idempotent.
-        scope.job_started(idx);
-        scope.job_finished(idx, &outputs[idx].stats);
-    }
-}
-
-/// Write one completed package of job `idx` and, when it was the job's
-/// last, finish the job.
-#[allow(clippy::too_many_arguments)]
-fn write_package(
-    ctx: &RunCtx<'_>,
-    seq: u64,
-    rows: u64,
-    buf: &[u8],
-    mut timings: PackageTimings,
-    idx: usize,
-    sinks: &mut [&mut dyn Sink],
-    outputs: &mut [JobOutput],
-) -> io::Result<()> {
-    if let Some(scope) = ctx.scope {
-        scope.job_started(idx);
-        scope.begin_write(idx);
-    }
-    let write_started = ctx.scope.map(|_| now_ns());
-    // An empty package (a rowless job whose format has no framing bytes)
-    // never reaches the sink, so it cannot open an empty output part.
-    let write_result = if buf.is_empty() {
-        Ok(())
-    } else {
-        sinks[idx].write_chunk(buf)
-    };
-    if let Some(scope) = ctx.scope {
-        scope.end_write();
-        if let Err(e) = &write_result {
-            scope.sink_error(idx, e);
+impl RunCtx<'_> {
+    /// Stamp job `idx`'s completion time. Called exactly once per job,
+    /// when its last package is written — or up front for jobs with none.
+    fn finish_job(&self, idx: usize, stats: &mut [TableRunStats]) {
+        stats[idx].seconds = self.started.elapsed().as_secs_f64();
+        if let Some(scope) = self.scope {
+            // A job with no packages never announced itself;
+            // `job_started` is idempotent.
+            scope.job_started(idx);
+            scope.job_finished(idx, &stats[idx]);
         }
     }
-    write_result?;
-    let out = &mut outputs[idx];
-    out.stats.rows += rows;
-    out.stats.bytes += buf.len() as u64;
-    out.remaining -= 1;
-    if let Some(handles) = ctx.handles {
-        handles[idx].record_package(rows, buf.len() as u64);
-    }
-    if let Some(scope) = ctx.scope {
-        if let Some(w0) = write_started {
-            timings.write_ns = now_ns().saturating_sub(w0);
-        }
-        scope.package_completed(idx, seq, rows, buf.len() as u64, timings);
-    }
-    if out.remaining == 0 {
-        finish_job(ctx, idx, outputs);
-    }
-    Ok(())
-}
 
-/// Inline execution on the calling thread: packages run in global queue
-/// order, which is already per-job row order.
-fn run_inline(
-    rt: &SchemaRuntime,
-    ctx: &RunCtx<'_>,
-    packages: &[QueuedPackage],
-    sinks: &mut [&mut dyn Sink],
-    outputs: &mut [JobOutput],
-) -> io::Result<()> {
-    let mut state = WorkerState::default();
-    let mut out = Vec::new();
-    let phases: Option<Arc<WorkerPhases>> = ctx.scope.map(|s| s.slot(0));
-    let total = packages.len() as u64;
-    // Seed the watchdog's pending gauge up front: an inline run that
-    // wedges inside its first package is outstanding work, not idle.
-    if let Some(scope) = ctx.scope {
-        scope.set_queue_depth(total);
-    }
-    for (done, (idx, pkg, framing)) in packages.iter().enumerate() {
-        out.clear();
-        let want = package_capacity_hint(ctx.row_bounds[*idx], pkg.len());
-        if out.capacity() < want {
-            out.reserve(want);
-        }
-        let timings = render_package(
-            rt,
-            ctx.formatter,
-            &ctx.metas[*idx],
-            pkg,
-            *framing,
-            &mut state,
-            &mut out,
-            phases.as_deref(),
-        );
-        write_package(ctx, pkg.seq, pkg.len(), &out, timings, *idx, sinks, outputs)?;
-        if let Some(scope) = ctx.scope {
-            scope.set_queue_depth(total - (done as u64 + 1));
-        }
-    }
-    Ok(())
-}
-
-/// Pooled execution: one scope of workers drains the global package
-/// queue; the output stage on the calling thread reorders per job.
-fn run_pool(
-    rt: &SchemaRuntime,
-    ctx: &RunCtx<'_>,
-    packages: &[QueuedPackage],
-    sinks: &mut [&mut dyn Sink],
-    outputs: &mut [JobOutput],
-    cfg: &RunConfig,
-) -> io::Result<()> {
-    let n_packages = packages.len() as u64;
-    let tickets = TicketCounter::new(n_packages);
-    // Bounded channel: workers stall rather than buffering the whole
-    // project when a sink is slow.
-    let channel_depth = cfg.workers * 4;
-    let (tx, rx) = channel::<(usize, u64, u64, Vec<u8>, PackageTimings)>(channel_depth);
-    // Written buffers return here and workers take them back out; sized
-    // past the channel depth so even a full pipeline keeps recycling.
-    let pool = BufferPool::new(channel_depth + cfg.workers + 1);
-    if let Some(scope) = ctx.scope {
-        scope.set_queue_depth(n_packages);
-    }
-
-    let mut result: io::Result<()> = Ok(());
-    let mut written_packages = 0u64;
-    std::thread::scope(|thread_scope| {
-        for worker in 0..cfg.workers {
-            let tx = tx.clone();
-            let tickets = &tickets;
-            let pool = &pool;
-            let phases: Option<Arc<WorkerPhases>> = ctx.scope.map(|s| s.slot(worker));
-            thread_scope.spawn(move || {
-                let mut state = WorkerState::default();
-                while let Some(ticket) = tickets.claim() {
-                    let (idx, pkg, framing) = &packages[ticket as usize];
-                    let mut out = pool
-                        .take_with_capacity(package_capacity_hint(ctx.row_bounds[*idx], pkg.len()));
-                    let timings = render_package(
-                        rt,
-                        ctx.formatter,
-                        &ctx.metas[*idx],
-                        pkg,
-                        *framing,
-                        &mut state,
-                        &mut out,
-                        phases.as_deref(),
-                    );
-                    if tx.send((*idx, pkg.seq, pkg.len(), out, timings)).is_err() {
-                        // Output stage failed and hung up; stop quietly,
-                        // the error is reported from the output side.
-                        return;
-                    }
-                }
-            });
-        }
-        drop(tx);
-
-        // Output stage on the calling thread: route each package to its
-        // job's reorder buffer and sink, recycle written buffers.
-        for (idx, seq, rows, buf, timings) in rx {
-            let mut ready = outputs[idx].reorder.push(seq, (seq, rows, buf, timings));
-            while let Some((ready_seq, ready_rows, ready_buf, ready_timings)) = ready {
-                if let Err(e) = write_package(
-                    ctx,
-                    ready_seq,
-                    ready_rows,
-                    &ready_buf,
-                    ready_timings,
-                    idx,
-                    sinks,
-                    outputs,
-                ) {
-                    result = Err(e);
-                    return; // drops `rx`; workers see the hangup and stop
-                }
-                pool.put(ready_buf);
-                written_packages += 1;
-                if let Some(scope) = ctx.scope {
-                    scope.set_queue_depth(n_packages - written_packages);
-                }
-                ready = outputs[idx].reorder.pop_ready();
+    /// Write the rendered package `seq` to its job's sink and, when it
+    /// was the job's last, finish the job.
+    fn write_package(
+        &self,
+        req: &Request<'_>,
+        seq: u64,
+        buf: &[u8],
+        mut timings: PackageTimings,
+        sinks: &mut [&mut dyn Sink],
+        stats: &mut [TableRunStats],
+    ) -> io::Result<()> {
+        let (idx, pkg, _) = req.package(seq);
+        let write_started = self.scope.map(|scope| {
+            scope.job_started(idx);
+            scope.begin_write(idx);
+            now_ns()
+        });
+        // An empty package (a rowless job whose format has no framing
+        // bytes) never reaches the sink, so it cannot open an empty part.
+        let write_result = if buf.is_empty() {
+            Ok(())
+        } else {
+            sinks[idx].write_chunk(buf)
+        };
+        if let Some(scope) = self.scope {
+            scope.end_write();
+            if let Err(e) = &write_result {
+                scope.sink_error(idx, e);
             }
         }
-        // Every sender completed, so a shortfall here means packages were
-        // dropped between the workers and the sink — corrupt output, not
-        // a debug-only concern.
-        if written_packages != n_packages {
-            let parked: usize = outputs.iter().map(|o| o.reorder.pending()).sum();
-            result = Err(io::Error::other(format!(
-                "output stage lost packages: wrote {written_packages} of \
-                 {n_packages} ({parked} parked out of order)"
-            )));
+        write_result?;
+        let out = &mut stats[idx];
+        out.rows += pkg.len();
+        out.bytes += buf.len() as u64;
+        if let Some(handles) = self.handles {
+            handles[idx].record_package(pkg.len(), buf.len() as u64);
         }
-    });
-    result
+        if let (Some(scope), Some(w0)) = (self.scope, write_started) {
+            timings.write_ns = now_ns().saturating_sub(w0);
+            scope.package_completed(idx, pkg.seq, pkg.len(), buf.len() as u64, timings);
+        }
+        if pkg.seq + 1 == req.jobs[idx].packages {
+            self.finish_job(idx, stats);
+        }
+        Ok(())
+    }
+
+    /// Inline execution on the calling thread, in package order — which
+    /// is already per-job row order. The reference the byte checks
+    /// compare the pool against.
+    fn run_inline(
+        &self,
+        req: &Request<'_>,
+        sinks: &mut [&mut dyn Sink],
+        stats: &mut [TableRunStats],
+    ) -> io::Result<()> {
+        let mut state = WorkerState::default();
+        let mut out = Vec::new();
+        let phases: Option<Arc<WorkerPhases>> = self.scope.map(|s| s.slot(0));
+        for seq in 0..req.total {
+            out.clear();
+            out.reserve(req.capacity_hint(seq));
+            // The package counts as pending while it renders, so an
+            // inline run that wedges inside a render is not idle.
+            if let Some(scope) = self.scope {
+                scope.ticket_issued();
+            }
+            let timings = req.render(seq, &mut state, &mut out, phases.as_deref());
+            if let Some(scope) = self.scope {
+                scope.ticket_done();
+            }
+            let timings = timings.ok_or_else(|| render_panic(req, seq))?;
+            self.write_package(req, seq, &out, timings, sinks, stats)?;
+        }
+        Ok(())
+    }
+
+    /// Pooled execution: `workers` scoped threads render the run as one
+    /// request of the worker pool; this thread reads it back.
+    fn run_pooled(
+        &self,
+        req: Request<'_>,
+        sinks: &mut [&mut dyn Sink],
+        stats: &mut [TableRunStats],
+        workers: usize,
+    ) -> io::Result<()> {
+        // Four packages of slack per worker plus the one it renders, less
+        // the one the sink is writing: a blocked sink holds at most
+        // 5 × workers packages in memory.
+        let pool = Pool::new(self.scope.map(Held::Borrowed), 5 * workers - 1, workers);
+        std::thread::scope(|threads| {
+            for worker in 0..workers {
+                let pool = &pool;
+                threads.spawn(move || pool.work(worker));
+            }
+            let _shut_down = ShutDownOnDrop(&pool);
+            // Dropped first, the reader cancels what is still queued.
+            let mut reader = Reader::start(req, &pool);
+            loop {
+                let (seq, (buf, timings)) = match reader.next(&pool) {
+                    Ok(Some(package)) => package,
+                    Ok(None) => return Ok(()),
+                    Err(Stop::Panicked(seq)) => return Err(render_panic(reader.request(), seq)),
+                    Err(Stop::ShutDown) => return Err(io::Error::other("worker pool shut down")),
+                };
+                self.write_package(reader.request(), seq, &buf, timings, sinks, stats)?;
+                pool.buffers.put(buf);
+            }
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
+    use std::time::Duration;
+
     use pdgf_gen::MapResolver;
     use pdgf_output::{CsvFormatter, JsonFormatter, MemorySink, SqlFormatter, XmlFormatter};
-    use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
+    use pdgf_schema::{ColumnBatch, Expr, Field, GeneratorSpec, Schema, SqlType, Table, Value};
 
     use crate::monitor::Monitor;
     use crate::package::render_reference;
@@ -1020,8 +882,8 @@ mod tests {
 
     /// A sink error on table k must stop the whole pool without
     /// deadlocking workers that are already generating table k+1: the
-    /// channel hang-up reaches every worker regardless of which job its
-    /// current package belongs to.
+    /// run's cancellation reaches every worker regardless of which job
+    /// its current package belongs to.
     #[test]
     fn failing_sink_on_one_table_does_not_deadlock_the_project_pool() {
         let rt = multi_runtime(&[20_000, 20_000, 20_000]);
@@ -1048,5 +910,126 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.to_string(), "disk full");
+    }
+
+    /// CSV that panics on the batch holding row `at` of a table, and
+    /// counts every batch it is asked to render.
+    struct FaultyFormatter {
+        at: Option<(&'static str, u64)>,
+        renders: AtomicU64,
+    }
+
+    impl FaultyFormatter {
+        fn panicking_at(table: &'static str, row: u64) -> Self {
+            Self {
+                at: Some((table, row)),
+                renders: AtomicU64::new(0),
+            }
+        }
+
+        fn counting() -> Self {
+            Self {
+                at: None,
+                renders: AtomicU64::new(0),
+            }
+        }
+    }
+
+    impl Formatter for FaultyFormatter {
+        fn row(&self, out: &mut Vec<u8>, meta: &TableMeta, values: &[Value]) {
+            CsvFormatter::new().row(out, meta, values);
+        }
+
+        fn rows_columnar(&self, out: &mut Vec<u8>, meta: &TableMeta, batch: &ColumnBatch) {
+            self.renders.fetch_add(1, Ordering::SeqCst);
+            if let (Some((table, at)), Value::Long(id)) = (self.at, batch.columns()[0].value(0)) {
+                // Ids count from 1, so the batch holds rows id-1 onwards.
+                let first = id as u64 - 1;
+                if meta.name == table && (first..first + batch.rows() as u64).contains(&at) {
+                    panic!("deliberate render failure");
+                }
+            }
+            CsvFormatter::new().rows_columnar(out, meta, batch);
+        }
+
+        fn name(&self) -> &'static str {
+            "faulty-csv"
+        }
+    }
+
+    /// A render panic becomes an error naming the table and the failing
+    /// rows, at every worker count, instead of unwinding out of the run.
+    #[test]
+    fn render_panic_is_an_error_naming_the_table() {
+        let rt = multi_runtime(&[300, 500]);
+        let jobs = [TableJob::full_table(0, 300), TableJob::full_table(1, 500)];
+        for workers in [0usize, 1, 2, 4] {
+            let mut s0 = MemorySink::new();
+            let mut s1 = MemorySink::new();
+            let mut refs: Vec<&mut dyn Sink> = vec![&mut s0, &mut s1];
+            let err = run_project(
+                &rt,
+                &jobs,
+                &FaultyFormatter::panicking_at("t1", 250),
+                &mut refs,
+                &RunConfig::new().workers(workers).package_rows(100),
+                None,
+            )
+            .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "rendering table `t1` rows 200..300 panicked",
+                "workers={workers}"
+            );
+        }
+    }
+
+    /// Sink whose first write blocks until the test unlocks `gate`.
+    struct BlockedSink<'a> {
+        gate: Option<&'a Mutex<()>>,
+    }
+
+    impl Sink for BlockedSink<'_> {
+        fn write_chunk(&mut self, _bytes: &[u8]) -> io::Result<()> {
+            if let Some(gate) = self.gate.take() {
+                drop(gate.lock());
+            }
+            Ok(())
+        }
+        fn finish(&mut self) -> io::Result<u64> {
+            Ok(0)
+        }
+        fn bytes_written(&self) -> u64 {
+            0
+        }
+    }
+
+    /// While the sink is blocked on its first write, the pool renders at
+    /// most 5 × workers packages: what is in flight is bounded by the
+    /// worker count, not by the table.
+    #[test]
+    fn blocked_sink_bounds_packages_in_flight() {
+        let rt = runtime(10_000);
+        for workers in [1usize, 2] {
+            let formatter = FaultyFormatter::counting();
+            let gate = Mutex::new(());
+            let held = gate.lock();
+            std::thread::scope(|s| {
+                let run = s.spawn(|| {
+                    let mut sink = BlockedSink { gate: Some(&gate) };
+                    let cfg = RunConfig::new().workers(workers).package_rows(50);
+                    generate_table_range(&rt, 0, 0, 0..10_000, &formatter, &mut sink, &cfg, None)
+                });
+                std::thread::sleep(Duration::from_millis(300));
+                let rendered = formatter.renders.load(Ordering::SeqCst);
+                drop(held);
+                assert_eq!(run.join().unwrap().unwrap().rows, 10_000);
+                assert!(
+                    rendered <= 5 * workers as u64,
+                    "workers={workers}: {rendered} packages rendered behind a blocked sink"
+                );
+            });
+            assert_eq!(formatter.renders.load(Ordering::SeqCst), 200);
+        }
     }
 }

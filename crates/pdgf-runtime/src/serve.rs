@@ -1,70 +1,54 @@
-//! On-the-fly row service: the persistent scheduler answering requests.
+//! On-the-fly row service: the worker pool kept alive, answering
+//! requests.
 //!
 //! The paper's seeding hierarchy makes any cell recomputable in O(1), so
 //! a table never has to be materialized to be read — the "On The Fly"
-//! posture: keep one worker pool alive and let clients ask for row
-//! ranges and point lookups on demand. [`RowService`] is that pool. A
-//! [`RowRequest`] names `(model, table, update, row range)`; the service
-//! splits it into the same work packages a batch run would use, renders
-//! each through the same package body a batch run uses
-//! ([`render_package`](crate::package)), and streams the finished byte
-//! buffers back in row order through a [`ResponseStream`].
+//! posture. [`RowService`] keeps the runtime's one worker pool (the pool
+//! a batch [`run_project`](crate::run_project) renders on) running on
+//! long-lived threads. A [`RowRequest`] names `(model, table, update, row
+//! range)` and becomes a one-job request of the pool: the same work
+//! packages and package body ([`render_package`](crate::package)) a batch
+//! run uses, streamed back in row order through a [`ResponseStream`].
+//! Front ends hand each written buffer back ([`ResponseStream::recycle`]).
 //!
-//! One service can host **several models** ([`RowService::with_models`]):
-//! every registered schema shares the single worker pool and ticket
-//! queue, so a deployment serves many workloads without multiplying
-//! threads. Requests name their model by index; per-model counters are
-//! kept alongside the service-wide ones ([`RowService::stats_of`]).
-//!
-//! Ranges wider than `max_request_rows` are either rejected
-//! ([`RowService::submit`], the legacy strict path) or **clamped**
-//! ([`RowService::submit_clamped`]): the stream serves the first
-//! `max_request_rows` rows and reports where the remainder starts, which
-//! is what the serve front ends turn into resumable cursor tokens.
-//! Because framing is positional, the clamped tiles concatenate
-//! byte-equal to a single-shot response.
+//! One service can host **several models** ([`RowService::with_models`])
+//! on the one pool; per-model counters are kept alongside the
+//! service-wide ones ([`RowService::stats_of`]). Ranges wider than
+//! `max_request_rows` are either rejected ([`RowService::submit`]) or
+//! **clamped** ([`RowService::submit_clamped`]), reporting where the
+//! remainder starts — what the front ends turn into resumable cursors.
 //!
 //! Determinism is the contract: the same `(table, update, range, format)`
 //! request always returns the same bytes, and because framing is
-//! positional ([`Framing::for_range`]) concatenating the responses of
-//! adjacent ranges is byte-equal to a `pdgf generate` file of the whole
-//! table. Nothing here caches rows — every answer is recomputed, which is
-//! exactly why answers cannot drift.
+//! positional ([`Framing::for_range`]) responses of adjacent ranges (and
+//! clamped tiles) concatenate byte-equal to a `pdgf generate` file of the
+//! whole table. Nothing is cached — every answer is recomputed.
 //!
-//! Backpressure is reader-driven: a request may have at most `window`
-//! packages in flight. The service only *issues* the next package ticket
-//! when the reader consumes one, so a slow (or stopped) reader starves
-//! itself and nobody else — workers never block on a full response
-//! queue, they simply run other requests' tickets. Requests multiplex
-//! onto the one global FIFO ticket queue; a dropped [`ResponseStream`]
-//! cancels its unrendered packages.
-//!
-//! A panic while rendering fails only its own request: the worker catches
-//! it, survives, and the request's stream ends early with
-//! [`ResponseStream::is_complete`] false, counted as `aborted`.
+//! Backpressure is reader-driven: a request keeps at most `window`
+//! packages issued and not yet taken, so a slow (or stopped) reader
+//! starves only itself; a dropped [`ResponseStream`] cancels its
+//! unrendered packages. A render panic fails only its own request: the
+//! stream ends early with [`ResponseStream::is_complete`] false, counted
+//! as `aborted`.
 //!
 //! With a [`Telemetry`] attached the service keeps a long-lived run scope
 //! (so the stall watchdog supervises it — see the idle-vs-wedged
-//! distinction in [`crate::telemetry`]), times every package's generate
-//! and format phases like a batch run, publishes request-scoped events
-//! (`RequestStarted`/`RequestFinished`/`RequestFailed`), and feeds a
+//! distinction in [`crate::telemetry`]), times every package's phases
+//! like a batch run, publishes request-scoped events, and feeds a
 //! lock-free latency histogram surfaced through [`RowService::stats`].
 
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use pdgf_gen::SchemaRuntime;
-use pdgf_output::{Formatter, ReorderBuffer, TableMeta};
+use pdgf_output::Formatter;
 
 use crate::events::RunEvent;
 use crate::metrics::{now_ns, Histogram, PhaseStats};
-use crate::package::{package_capacity_hint, render_package, Framing, TableJob, WorkerState};
-use crate::scheduler::table_meta;
-use crate::telemetry::{JobInfo, RunScope, Telemetry};
+use crate::package::{Framing, TableJob};
+use crate::pool::{Held, Pool, Reader, Request, Stop};
+use crate::telemetry::{JobInfo, Telemetry};
 
 /// Tuning knobs for a [`RowService`], built fluently like
 /// [`RunConfig`](crate::RunConfig):
@@ -315,77 +299,25 @@ struct ModelSlot {
     stats: StatsInner,
 }
 
-/// Reorder-and-ready state of one in-flight request.
-struct RequestState {
-    reorder: ReorderBuffer<Vec<u8>>,
-    ready: VecDeque<Vec<u8>>,
-    /// A package failed to render; the request cannot complete.
-    failed: bool,
-}
-
-/// Everything a worker needs to render one request's packages, shared
-/// between the submitting reader and the pool.
-struct RequestShared {
-    id: u64,
-    /// The model's compiled runtime (render path never touches the slot
-    /// table, so a request outlives nothing).
-    rt: Arc<SchemaRuntime>,
-    /// Model slot index, for per-model completion counters.
-    model: u32,
-    /// The requested rows and framing, packaged exactly like a batch job.
-    job: TableJob,
-    total_packages: u64,
-    formatter: Arc<dyn Formatter>,
-    meta: TableMeta,
-    /// Proven per-row byte bound for buffer pre-sizing (allocation hint
-    /// only — bytes are identical without it).
-    row_bound: Option<u64>,
-    /// Set when the reader goes away; unrendered packages are skipped.
-    cancelled: AtomicBool,
-    state: Mutex<RequestState>,
-    ready: Condvar,
-}
-
-/// One package ticket on the global queue.
-struct Task {
-    req: Arc<RequestShared>,
-    seq: u64,
-}
-
 struct ServiceShared {
     models: Vec<ModelSlot>,
-    queue: Mutex<VecDeque<Task>>,
-    work: Condvar,
-    shutdown: AtomicBool,
+    /// The worker pool, with the watchdog's run scope under telemetry.
+    pool: Pool<'static>,
     package_rows: u64,
-    window: u64,
     max_request_rows: u64,
     stats: StatsInner,
     started_ns: u64,
-    /// Long-lived telemetry scope: its watchdog supervises the pool
-    /// (idle is healthy; queued-but-stuck tickets are a stall).
-    scope: Option<RunScope>,
     telemetry: Option<Telemetry>,
     next_request: AtomicU64,
 }
 
 impl ServiceShared {
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<Task>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn push_task(&self, task: Task) {
-        let depth = {
-            let mut q = self.lock_queue();
-            // locks:allow(W034) depth is bounded externally: admission
-            // keeps at most `window` tickets in flight per live request
-            q.push_back(task);
-            q.len() as u64
-        };
-        if let Some(scope) = &self.scope {
-            scope.set_queue_depth(depth);
+    /// Apply `f` to the service-wide counters and to model `model`'s.
+    fn count(&self, model: u32, f: impl Fn(&StatsInner)) {
+        f(&self.stats);
+        if let Some(slot) = self.models.get(model as usize) {
+            f(&slot.stats);
         }
-        self.work.notify_one();
     }
 
     fn publish(&self, event: RunEvent) {
@@ -430,12 +362,8 @@ impl RowService {
             !models.is_empty(),
             "RowService::with_models needs at least one model"
         );
-        let scope = telemetry.map(|t| {
-            t.begin_run(
-                vec![JobInfo::new("<serve>".to_string(), 0)],
-                cfg.workers.max(1),
-            )
-        });
+        let scope = telemetry
+            .map(|t| t.begin_run(vec![JobInfo::new("<serve>".to_string(), 0)], cfg.workers));
         let models = models
             .into_iter()
             .map(|(name, rt)| ModelSlot {
@@ -446,24 +374,24 @@ impl RowService {
             .collect();
         let shared = Arc::new(ServiceShared {
             models,
-            queue: Mutex::new(VecDeque::new()),
-            work: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            pool: Pool::new(
+                scope.map(|s| Held::Shared(Arc::new(s))),
+                cfg.window,
+                cfg.workers,
+            ),
             package_rows: cfg.package_rows,
-            window: cfg.window.max(1) as u64,
             max_request_rows: cfg.max_request_rows,
             stats: StatsInner::default(),
             started_ns: now_ns(),
-            scope,
             telemetry: telemetry.cloned(),
             next_request: AtomicU64::new(1),
         });
-        let workers = (0..cfg.workers.max(1))
+        let workers = (0..cfg.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pdgf-serve-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || shared.pool.work(i))
                     .unwrap_or_else(|e| panic!("failed to spawn serve worker {i}: {e}"))
             })
             .collect();
@@ -562,17 +490,16 @@ impl RowService {
     ) -> Result<Admitted, SubmitError> {
         let shared = &self.shared;
         let reject = |err: SubmitError, shared: &ServiceShared| {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(slot) = shared.models.get(request.model as usize) {
-                slot.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            }
+            shared.count(request.model, |s| {
+                s.rejected.fetch_add(1, Ordering::Relaxed);
+            });
             shared.publish(RunEvent::RequestFailed {
                 request: 0,
                 message: err.to_string(),
             });
             err
         };
-        if shared.shutdown.load(Ordering::Acquire) {
+        if shared.pool.is_shut_down() {
             return Err(reject(SubmitError::ShuttingDown, shared));
         }
         let Some(slot) = shared.models.get(request.model as usize) else {
@@ -618,46 +545,31 @@ impl RowService {
                 .unwrap_or_else(|| Framing::for_range(&request.rows, size)),
             rows: request.rows,
         };
-        let total_packages = job.package_count(shared.package_rows);
-        let meta = table_meta(&slot.rt, request.table);
-        let row_bound = formatter.max_row_bytes(&meta, &slot.rt.profiles()[request.table as usize]);
+        let req = Request::new(
+            Held::Shared(Arc::clone(&slot.rt)),
+            Held::Shared(formatter),
+            vec![job],
+            shared.package_rows,
+        );
         let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
-        let req = Arc::new(RequestShared {
-            id,
-            rt: Arc::clone(&slot.rt),
-            model: request.model,
-            job,
-            total_packages,
-            formatter,
-            meta,
-            row_bound,
-            cancelled: AtomicBool::new(false),
-            state: Mutex::new(RequestState {
-                reorder: ReorderBuffer::new(),
-                ready: VecDeque::new(),
-                failed: false,
-            }),
-            ready: Condvar::new(),
+        shared.count(request.model, |s| {
+            s.requests.fetch_add(1, Ordering::Relaxed);
         });
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        slot.stats.requests.fetch_add(1, Ordering::Relaxed);
         shared.publish(RunEvent::RequestStarted {
             request: id,
-            table: req.meta.name.clone(),
+            table: req.jobs[0].meta.name.clone(),
             rows: span,
         });
-        let mut stream = ResponseStream {
+        let reader = Reader::start(req, &shared.pool);
+        let stream = ResponseStream {
             shared: Arc::clone(shared),
-            req,
-            window: shared.window,
-            issued: 0,
-            delivered: 0,
-            rows: 0,
+            finished: reader.is_complete(),
+            reader,
+            id,
+            model: request.model,
             bytes: 0,
             started_ns: now_ns(),
-            finished: total_packages == 0,
         };
-        stream.issue_up_to_window();
         Ok(Admitted { stream, resume_at })
     }
 
@@ -691,39 +603,12 @@ impl RowService {
         let mut out = Vec::new();
         while let Some(chunk) = stream.next_package() {
             out.extend_from_slice(&chunk);
+            stream.recycle(chunk);
         }
         if !stream.is_complete() {
             return Err(SubmitError::Incomplete);
         }
         Ok(out)
-    }
-
-    /// Lineage hook: the seed the *point-lookup* route derives for one
-    /// cell. This is the route per-cell access and the row reference
-    /// renderer take — a direct [`FieldCoord`](pdgf_prng::FieldCoord)
-    /// walk down the seeding tree. `pdgf prove` checks it lands on the same
-    /// lineage node as [`RowService::batch_lineage`] (`E055`).
-    pub fn point_lineage(&self, table: u32, column: u32, update: u32, row: u64) -> u64 {
-        self.shared.models[0]
-            .rt
-            .seed_tree()
-            .field_seed(pdgf_prng::FieldCoord {
-                table,
-                column,
-                update,
-                row,
-            })
-    }
-
-    /// Lineage hook: the seed the *bulk* route derives for one cell —
-    /// the hoisted form the columnar kernels and shard framing use (one
-    /// `update_seed` per column, then one `mix64_pair` per cell).
-    pub fn batch_lineage(&self, table: u32, column: u32, update: u32, row: u64) -> u64 {
-        let hoisted = self.shared.models[0]
-            .rt
-            .seed_tree()
-            .update_seed(table, column, update);
-        pdgf_prng::mix64_pair(hoisted, row)
     }
 
     /// Live service counters and latency percentiles, aggregated across
@@ -744,10 +629,9 @@ impl RowService {
     /// Stop accepting work and join the pool. Pending tickets of live
     /// streams are drained first; called automatically on drop.
     pub fn shutdown(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::AcqRel) {
+        if self.shared.pool.shut_down() {
             return;
         }
-        self.shared.work.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -783,16 +667,14 @@ pub struct Admitted {
 
 /// A request's ordered package stream. Iterate (or call
 /// [`next_package`](Self::next_package)) to receive the formatted
-/// buffers; each consumption issues the next package ticket, keeping at
-/// most `window` packages in flight for this request. Dropping the
-/// stream early cancels the request's remaining work.
+/// buffers; taking a package issues the next ticket, keeping at most
+/// `window` packages issued and not yet taken for this request.
+/// Dropping the stream early cancels the request's remaining work.
 pub struct ResponseStream {
     shared: Arc<ServiceShared>,
-    req: Arc<RequestShared>,
-    window: u64,
-    issued: u64,
-    delivered: u64,
-    rows: u64,
+    reader: Reader<'static>,
+    id: u64,
+    model: u32,
     bytes: u64,
     started_ns: u64,
     finished: bool,
@@ -801,12 +683,12 @@ pub struct ResponseStream {
 impl ResponseStream {
     /// Total packages this response will deliver.
     pub fn total_packages(&self) -> u64 {
-        self.req.total_packages
+        self.reader.request().total
     }
 
     /// The service-assigned request id (matches the request events).
     pub fn request_id(&self) -> u64 {
-        self.req.id
+        self.id
     }
 
     /// Whether every package was delivered. After
@@ -815,32 +697,24 @@ impl ResponseStream {
     /// the service shut down); front ends must not frame an incomplete
     /// response as complete.
     pub fn is_complete(&self) -> bool {
-        self.delivered == self.req.total_packages
+        self.reader.is_complete()
     }
 
-    fn issue_up_to_window(&mut self) {
-        while self.issued < self.req.total_packages
-            && self.issued.saturating_sub(self.delivered) < self.window
-        {
-            self.shared.push_task(Task {
-                req: Arc::clone(&self.req),
-                seq: self.issued,
-            });
-            self.issued += 1;
-        }
+    /// Hand a package buffer back once it is written, so later packages
+    /// render into it instead of allocating.
+    pub fn recycle(&self, buf: Vec<u8>) {
+        self.shared.pool.buffers.put(buf);
     }
 
-    /// End this request early: cancel its unrendered packages, count it
-    /// as aborted (service-wide and per model), and publish the reason.
+    /// End this request early: count it as aborted (service-wide and per
+    /// model) and publish the reason; dropping the reader cancels the rest.
     fn abort(&mut self, message: &str) {
         self.finished = true;
-        self.req.cancelled.store(true, Ordering::Relaxed);
-        self.shared.stats.aborted.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = self.shared.models.get(self.req.model as usize) {
-            slot.stats.aborted.fetch_add(1, Ordering::Relaxed);
-        }
+        self.shared.count(self.model, |s| {
+            s.aborted.fetch_add(1, Ordering::Relaxed);
+        });
         self.shared.publish(RunEvent::RequestFailed {
-            request: self.req.id,
+            request: self.id,
             message: message.to_string(),
         });
     }
@@ -853,65 +727,33 @@ impl ResponseStream {
         if self.finished {
             return None;
         }
-        let buf = loop {
-            let mut st = self
-                .req
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(b) = st.ready.pop_front() {
-                break b;
-            }
-            let failure = if st.failed {
-                Some("package render panicked")
-            } else if self.shared.shutdown.load(Ordering::Acquire) {
-                Some("service shut down mid-request")
-            } else {
-                None
-            };
-            if let Some(message) = failure {
-                // This request can never complete. Release the state
-                // guard before the bookkeeping below: publishing a
-                // telemetry event takes the bus lock, and holding two
-                // guards here would put a serve->events edge in the
-                // lock-order graph for no benefit.
-                drop(st);
-                self.abort(message);
+        let buf = match self.reader.next(&self.shared.pool) {
+            Ok(Some((_seq, (buf, _timings)))) => buf,
+            Ok(None) => return None,
+            Err(stop) => {
+                self.abort(match stop {
+                    Stop::Panicked(_) => "package render panicked",
+                    Stop::ShutDown => "service shut down mid-request",
+                });
                 return None;
             }
-            // Timed wait so a shutdown while parked is noticed.
-            let (_st, _timeout) = self
-                .req
-                .ready
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner);
         };
-        let (pkg, _) = self
-            .req
-            .job
-            .package(self.delivered, self.shared.package_rows);
-        self.delivered += 1;
-        self.rows += pkg.len();
         self.bytes += buf.len() as u64;
-        self.issue_up_to_window();
-        if self.delivered == self.req.total_packages {
+        if self.reader.is_complete() {
             self.finished = true;
             let latency_ns = now_ns().saturating_sub(self.started_ns);
-            let s = &self.shared.stats;
-            s.completed.fetch_add(1, Ordering::Relaxed);
-            s.rows.fetch_add(self.rows, Ordering::Relaxed);
-            s.bytes.fetch_add(self.bytes, Ordering::Relaxed);
-            s.latency.record(latency_ns);
-            if let Some(slot) = self.shared.models.get(self.req.model as usize) {
-                slot.stats.completed.fetch_add(1, Ordering::Relaxed);
-                slot.stats.rows.fetch_add(self.rows, Ordering::Relaxed);
-                slot.stats.bytes.fetch_add(self.bytes, Ordering::Relaxed);
-                slot.stats.latency.record(latency_ns);
-            }
+            let span = &self.reader.request().jobs[0].job.rows;
+            let (rows, bytes) = (span.end - span.start, self.bytes);
+            self.shared.count(self.model, |s| {
+                s.completed.fetch_add(1, Ordering::Relaxed);
+                s.rows.fetch_add(rows, Ordering::Relaxed);
+                s.bytes.fetch_add(bytes, Ordering::Relaxed);
+                s.latency.record(latency_ns);
+            });
             self.shared.publish(RunEvent::RequestFinished {
-                request: self.req.id,
-                rows: self.rows,
-                bytes: self.bytes,
+                request: self.id,
+                rows,
+                bytes,
                 micros: latency_ns / 1_000,
             });
         }
@@ -935,95 +777,15 @@ impl Drop for ResponseStream {
     }
 }
 
-fn worker_loop(shared: &ServiceShared, worker: usize) {
-    let mut state = WorkerState::default();
-    let phases = shared.scope.as_ref().map(|s| s.slot(worker));
-    loop {
-        // The depth reading rides the pop's critical section instead of
-        // re-locking the queue afterwards (`cargo xtask locks` flags the
-        // re-lock as a busy-wait hazard, W032).
-        let (task, depth) = {
-            let mut q = shared.lock_queue();
-            loop {
-                if let Some(t) = q.pop_front() {
-                    break (t, q.len() as u64);
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let (guard, _timeout) = shared
-                    .work
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
-            }
-        };
-        if let Some(scope) = &shared.scope {
-            scope.set_queue_depth(depth);
-        }
-        if task.req.cancelled.load(Ordering::Relaxed) {
-            continue;
-        }
-        let req = &task.req;
-        let (pkg, framing) = req.job.package(task.seq, shared.package_rows);
-        // A panic inside the renderer fails only this request: the
-        // reader sees the failure, the worker survives with fresh
-        // buffers, and the pool keeps its size.
-        let rendered = catch_unwind(AssertUnwindSafe(|| {
-            let mut out =
-                Vec::with_capacity(package_capacity_hint(req.row_bound, pkg.len()).min(1 << 22));
-            render_package(
-                &req.rt,
-                req.formatter.as_ref(),
-                &req.meta,
-                &pkg,
-                framing,
-                &mut state,
-                &mut out,
-                phases.as_deref(),
-            );
-            out
-        }));
-        if rendered.is_err() {
-            state = WorkerState::default();
-        }
-        deliver(req, task.seq, rendered.ok());
-        if let Some(scope) = &shared.scope {
-            scope.progress();
-        }
-    }
-}
-
-/// Hand one rendered package (`None`: its render failed) to its
-/// request: slot it into the reorder buffer, promote whatever became
-/// contiguous, and wake the reader only after the state guard is
-/// released.
-fn deliver(req: &RequestShared, seq: u64, rendered: Option<Vec<u8>>) {
-    let mut st = req.state.lock().unwrap_or_else(PoisonError::into_inner);
-    match rendered {
-        Some(buf) => {
-            let mut ready = st.reorder.push(seq, buf);
-            while let Some(b) = ready {
-                st.ready.push_back(b);
-                ready = st.reorder.pop_ready();
-            }
-        }
-        None => {
-            st.failed = true;
-            req.cancelled.store(true, Ordering::Relaxed);
-        }
-    }
-    drop(st);
-    req.ready.notify_all();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
     use crate::package::render_reference;
     use crate::telemetry::TelemetryConfig;
     use pdgf_gen::MapResolver;
-    use pdgf_output::{CsvFormatter, JsonFormatter, SqlFormatter, XmlFormatter};
+    use pdgf_output::{CsvFormatter, JsonFormatter, SqlFormatter, TableMeta, XmlFormatter};
     use pdgf_schema::{ColumnBatch, Expr, Field, GeneratorSpec, Schema, SqlType, Table, Value};
 
     fn runtime(rows: u64) -> Arc<SchemaRuntime> {
@@ -1064,18 +826,22 @@ mod tests {
     #[test]
     fn point_and_batch_lineage_routes_agree() {
         let rt = runtime(100);
-        let service = RowService::new(Arc::clone(&rt), ServeConfig::new().workers(1), None);
-        // The two hooks derive the cell seed through genuinely different
-        // code paths (direct FieldCoord walk vs hoisted update_seed +
-        // per-cell mix); serve correctness rests on them agreeing.
+        let seeds = rt.seed_tree();
+        // The point route walks the full FieldCoord; the bulk route the
+        // columnar kernels and shard framing use hoists one update_seed
+        // per column, then mixes per cell. Serve correctness rests on
+        // the two agreeing.
         for column in 0..2 {
             for update in [0u32, 1, 3] {
                 for row in [0u64, 1, 17, 99, 1 << 40] {
-                    assert_eq!(
-                        service.point_lineage(0, column, update, row),
-                        service.batch_lineage(0, column, update, row),
-                        "column {column} update {update} row {row}"
-                    );
+                    let point = seeds.field_seed(pdgf_prng::FieldCoord {
+                        table: 0,
+                        column,
+                        update,
+                        row,
+                    });
+                    let batch = pdgf_prng::mix64_pair(seeds.update_seed(0, column, update), row);
+                    assert_eq!(point, batch, "column {column} update {update} row {row}");
                 }
             }
         }

@@ -1,10 +1,10 @@
 //! Synchronization facade for loom model checking.
 //!
-//! The scheduler's handoff primitives ([`crate::handoff`]) import their
+//! The handoff primitives ([`crate::handoff`]) import their
 //! synchronization types from here instead of `std::sync`. A normal
 //! build re-exports the std types unchanged; building with
 //! `RUSTFLAGS="--cfg loom"` swaps in `loom`'s instrumented equivalents
-//! so `tests/loom.rs` can model-check the worker/output-stage handoff.
+//! so `tests/loom.rs` can model-check them.
 //! Both expose std's signatures (`lock()` returns a `LockResult`,
 //! atomics take an `Ordering`), so call sites compile identically under
 //! either cfg.

@@ -1,8 +1,12 @@
-//! Loom model of the scheduler's full worker/output-stage handoff:
-//! ticket queue → format into pooled buffer → bounded channel → reorder →
-//! "sink" → recycle. Checks the three properties the pipeline's
-//! correctness rests on: no lost package, no double-write, and in-order
-//! output — plus clean shutdown when the output stage dies early. Build
+//! Loom models of the runtime's concurrency.
+//!
+//! The top-level models cover the `handoff` primitives the benchmark
+//! replay and the A/B throughput bench drive: ticket queue → format into
+//! pooled buffer → bounded channel → reorder → "sink" → recycle. They
+//! check the three properties such a pipeline's correctness rests on: no
+//! lost package, no double-write, and in-order output — plus clean
+//! shutdown when the output stage dies early. `serve_models` runs the
+//! real worker pool that `run_project` and the row service share. Build
 //! with `RUSTFLAGS="--cfg loom" cargo test -p pdgf-runtime --test loom`
 //! (see `scripts/concurrency.sh`).
 #![cfg(loom)]
@@ -11,7 +15,7 @@ use loom::sync::Arc;
 use pdgf_output::{BufferPool, ReorderBuffer};
 use pdgf_runtime::handoff::{channel, TicketCounter};
 
-/// The scheduler's run_pool dataflow in miniature: workers claim tickets,
+/// The handoff dataflow in miniature: workers claim tickets,
 /// stamp the ticket into a pooled buffer, and send it; the output stage
 /// reorders, verifies, and recycles. Every ticket must come out exactly
 /// once, in order, with intact payload bytes.
@@ -73,8 +77,7 @@ fn handoff_delivers_every_package_once_in_order() {
 }
 
 /// When the output stage drops the receiver mid-run (sink error), every
-/// worker must observe the hang-up and stop — no deadlock, no panic —
-/// exactly how one table's failure stops the whole pool.
+/// worker must observe the hang-up and stop — no deadlock, no panic.
 #[test]
 fn receiver_drop_stops_all_workers() {
     loom::model(|| {
@@ -112,35 +115,92 @@ fn receiver_drop_stops_all_workers() {
 }
 
 mod serve_models {
-    //! Models of the serve layer added since the handoff models above:
-    //! the [`RowService`] ticket-queue/`Condvar` delivery path and the
-    //! `submit_clamped` cursor admission path. The service uses std
+    //! Models of the worker pool that `run_project` and the row service
+    //! share: the ticket-queue/`Condvar` delivery path under a batch run
+    //! and under concurrent [`RowService`] clients, and the
+    //! `submit_clamped` cursor admission path. The pool uses std
     //! primitives internally, which the loom facade delegates to, so the
-    //! real service runs under the model harness unmodified.
+    //! real pool runs under the model harness unmodified.
     use std::sync::Arc;
 
     use pdgf_gen::{MapResolver, SchemaRuntime};
-    use pdgf_output::{CsvFormatter, Formatter};
+    use pdgf_output::{CsvFormatter, Formatter, MemorySink, Sink};
     use pdgf_runtime::serve::{RowRequest, RowService, ServeConfig};
+    use pdgf_runtime::{run_project, RunConfig, TableJob};
     use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
 
     fn runtime(rows: u64) -> Arc<SchemaRuntime> {
-        let schema = Schema::new("serve-loom", 77).table(
-            Table::new("t", &format!("{rows}"))
-                .field(
-                    Field::new("id", SqlType::BigInt, GeneratorSpec::Id { permute: false })
-                        .primary(),
-                )
-                .field(Field::new(
-                    "v",
-                    SqlType::Integer,
-                    GeneratorSpec::Long {
-                        min: Expr::parse("0").unwrap(),
-                        max: Expr::parse("999999").unwrap(),
-                    },
-                )),
-        );
+        runtime_of(&[rows])
+    }
+
+    /// One `id, v` table per entry of `sizes`.
+    fn runtime_of(sizes: &[u64]) -> Arc<SchemaRuntime> {
+        let mut schema = Schema::new("serve-loom", 77);
+        for (i, rows) in sizes.iter().enumerate() {
+            let name = if i == 0 {
+                "t".to_string()
+            } else {
+                format!("t{i}")
+            };
+            schema = schema.table(
+                Table::new(&name, &format!("{rows}"))
+                    .field(
+                        Field::new("id", SqlType::BigInt, GeneratorSpec::Id { permute: false })
+                            .primary(),
+                    )
+                    .field(Field::new(
+                        "v",
+                        SqlType::Integer,
+                        GeneratorSpec::Long {
+                            min: Expr::parse("0").unwrap(),
+                            max: Expr::parse("999999").unwrap(),
+                        },
+                    )),
+            );
+        }
         Arc::new(SchemaRuntime::build(&schema, &MapResolver::new()).unwrap())
+    }
+
+    /// Both jobs' bytes from one `run_project` call.
+    fn project_bytes(rt: &SchemaRuntime, workers: usize) -> Vec<Vec<u8>> {
+        let jobs: Vec<TableJob> = rt
+            .tables()
+            .iter()
+            .enumerate()
+            .map(|(t, table)| TableJob::full_table(t as u32, table.size))
+            .collect();
+        let mut sinks: Vec<MemorySink> = jobs.iter().map(|_| MemorySink::new()).collect();
+        let mut refs: Vec<&mut dyn Sink> = sinks.iter_mut().map(|s| s as &mut dyn Sink).collect();
+        run_project(
+            rt,
+            &jobs,
+            &CsvFormatter::new().with_header(),
+            &mut refs,
+            &RunConfig::new().workers(workers).package_rows(8),
+            None,
+        )
+        .unwrap();
+        sinks
+            .iter()
+            .map(|s| s.as_str().as_bytes().to_vec())
+            .collect()
+    }
+
+    /// The production batch path: a two-job project on two pool workers.
+    /// Packages of both tables interleave across the workers and come
+    /// back through one reorder stage, yet every iteration's sinks must
+    /// equal the inline run's bytes.
+    #[test]
+    fn run_project_sinks_are_byte_identical_on_the_pool() {
+        let rt = runtime_of(&[40, 28]);
+        let expected = Arc::new(project_bytes(&rt, 0));
+        loom::model(move || {
+            assert_eq!(
+                project_bytes(&rt, 2),
+                *expected,
+                "pooled project run diverged from the inline bytes"
+            );
+        });
     }
 
     fn formatter() -> Arc<dyn Formatter> {

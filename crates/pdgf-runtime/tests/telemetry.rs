@@ -10,16 +10,20 @@
 //!    the shortfall: `received + dropped == published`.
 //! 3. **The watchdog names the stuck table** — a sink that wedges mid-run
 //!    raises `StallDetected` carrying the right table name, and the run
-//!    completes once the sink is released.
+//!    completes once the sink is released. A served range whose render
+//!    wedges is outstanding work too, while an idle service never fires.
 
 use std::io;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use pdgf_gen::{MapResolver, SchemaRuntime};
-use pdgf_output::{CsvFormatter, MemorySinkFactory, NullSink, Sink};
-use pdgf_runtime::{GenerationRun, RunConfig, RunEvent, Telemetry, TelemetryConfig};
-use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
+use pdgf_output::{CsvFormatter, Formatter, MemorySinkFactory, NullSink, Sink, TableMeta};
+use pdgf_runtime::{
+    GenerationRun, RowRequest, RowService, RunConfig, RunEvent, ServeConfig, Telemetry,
+    TelemetryConfig,
+};
+use pdgf_schema::{ColumnBatch, Expr, Field, GeneratorSpec, Schema, SqlType, Table, Value};
 
 fn runtime() -> SchemaRuntime {
     let schema = Schema::new("telemetry", 7)
@@ -215,6 +219,67 @@ fn watchdog_names_the_wedged_table() {
         }
     }
     assert!(finished, "RunFinished published after the stall cleared");
+}
+
+/// CSV whose batch transpose first sleeps 800 ms: a render that wedges.
+struct SlowFormatter;
+
+impl Formatter for SlowFormatter {
+    fn row(&self, out: &mut Vec<u8>, meta: &TableMeta, values: &[Value]) {
+        CsvFormatter::new().row(out, meta, values);
+    }
+
+    fn rows_columnar(&self, out: &mut Vec<u8>, meta: &TableMeta, batch: &ColumnBatch) {
+        std::thread::sleep(Duration::from_millis(800));
+        CsvFormatter::new().rows_columnar(out, meta, batch);
+    }
+
+    fn name(&self) -> &'static str {
+        "slow-csv"
+    }
+}
+
+/// The service's pending gauge counts rendering tickets, not just queued
+/// ones: a served range whose render wedges for 16 stall timeouts raises
+/// `StallDetected`, while the same service sitting idle never does.
+#[test]
+fn watchdog_sees_a_wedged_serve_render() {
+    let telemetry = Telemetry::with_config(TelemetryConfig {
+        bus_capacity: 1024,
+        stall_timeout: Duration::from_millis(50),
+    });
+    let subscriber = telemetry.subscribe();
+    let mut service = RowService::new(
+        Arc::new(runtime()),
+        ServeConfig::new().workers(2).package_rows(1_000),
+        Some(&telemetry),
+    );
+    let stalled = || loop {
+        match subscriber.try_recv() {
+            Some(event) if matches!(event.event, RunEvent::StallDetected { .. }) => break true,
+            Some(_) => {}
+            None => break false,
+        }
+    };
+
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(!stalled(), "an idle service is not a stall");
+
+    let mut stream = service
+        .submit(RowRequest::range(0, 0, 0..150), Arc::new(SlowFormatter))
+        .unwrap();
+    let wedged = std::thread::spawn(move || {
+        let mut bytes = 0;
+        while let Some(package) = stream.next_package() {
+            bytes += package.len();
+        }
+        (bytes, stream.is_complete())
+    });
+    let (bytes, complete) = wedged.join().unwrap();
+    assert!(complete && bytes > 0, "the slow render still completes");
+    assert!(stalled(), "no StallDetected for an 800 ms render");
+    service.shutdown();
+    telemetry.close();
 }
 
 /// Sink that fails after a small byte budget, so runs abort mid-stream.

@@ -1,18 +1,20 @@
 //! Steady-state allocation test for the formatting hot path.
 //!
 //! A counting global allocator measures how many heap allocations a
-//! generation run performs. The CSV path over non-text columns must not
-//! allocate per row or per package in the steady state: generating 5×
-//! the rows (and 5× the packages) may only add a small constant number
-//! of allocations (buffer growth doublings, thread spawns), never a
-//! count proportional to the row or package count.
+//! generation run — or a served range — performs. The CSV path over
+//! non-text columns must not allocate per row or per package in the
+//! steady state: generating 5× the rows (and 5× the packages) may only
+//! add a small constant number of allocations (buffer growth doublings,
+//! thread spawns), never a count proportional to the row or package
+//! count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pdgf_gen::{MapResolver, SchemaRuntime};
-use pdgf_output::{CsvFormatter, NullSink};
-use pdgf_runtime::{generate_table_range, RunConfig};
+use pdgf_output::{CsvFormatter, Formatter, NullSink};
+use pdgf_runtime::{generate_table_range, RowRequest, RowService, RunConfig, ServeConfig};
 use pdgf_schema::model::DateFormat;
 use pdgf_schema::{Date, Expr, Field, GeneratorSpec, Schema, SqlType, Table};
 
@@ -43,6 +45,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// The allocator counts every thread, so the tests of this file run one
+/// at a time: each holds this guard for its whole body.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::SeqCst);
@@ -119,6 +128,7 @@ fn generate(rt: &SchemaRuntime, workers: usize, package_rows: u64) -> u64 {
 
 #[test]
 fn csv_inline_path_does_not_allocate_per_row() {
+    let _serial = serial();
     let small = runtime(8_000);
     let large = runtime(40_000);
     // Warm-up pass absorbs one-time lazy initialization (TLS, stdio).
@@ -140,6 +150,7 @@ fn csv_inline_path_does_not_allocate_per_row() {
 
 #[test]
 fn csv_parallel_path_does_not_allocate_per_package() {
+    let _serial = serial();
     let small = runtime(8_000);
     let large = runtime(40_000);
     generate(&small, 2, 500);
@@ -155,6 +166,44 @@ fn csv_parallel_path_does_not_allocate_per_package() {
     assert!(
         delta < 128,
         "parallel CSV path allocates per package: {base} allocs for 16 packages, \
+         {grown} for 80 (delta {delta})"
+    );
+}
+
+#[test]
+fn served_range_does_not_allocate_per_package() {
+    let _serial = serial();
+    let service = RowService::new(
+        Arc::new(runtime(40_000)),
+        ServeConfig::new().workers(2).package_rows(500),
+        None,
+    );
+    let csv: Arc<dyn Formatter> = Arc::new(CsvFormatter::new());
+    // Drain a range the way the front ends do: write, then hand the
+    // buffer back.
+    let serve = |rows: u64| {
+        let mut stream = service
+            .submit(RowRequest::range(0, 0, 0..rows), Arc::clone(&csv))
+            .unwrap();
+        let mut bytes = 0;
+        while let Some(package) = stream.next_package() {
+            bytes += package.len();
+            stream.recycle(package);
+        }
+        assert!(stream.is_complete() && bytes > 0);
+    };
+    serve(8_000);
+
+    let base = allocations_during(|| serve(8_000));
+    let grown = allocations_during(|| serve(40_000));
+
+    // 64 extra packages go through the ticket queue, the reorder stage
+    // and the reader; recycled buffers make them allocation-free. What
+    // remains is per request, which both runs pay equally.
+    let delta = grown.saturating_sub(base);
+    assert!(
+        delta < 32,
+        "served range allocates per package: {base} allocs for 16 packages, \
          {grown} for 80 (delta {delta})"
     );
 }

@@ -452,15 +452,15 @@ fn rows(
     write!(writer, "Connection: {conn}\r\n\r\n")?;
     let mut stream = admitted.stream;
     while let Some(package) = stream.next_package() {
-        if package.is_empty() {
-            // A zero-length chunk would terminate the body early.
-            continue;
+        // A zero-length chunk would terminate the body early.
+        if !package.is_empty() {
+            write!(writer, "{:x}\r\n", package.len())?;
+            writer.write_all(&package)?;
+            writer.write_all(b"\r\n")?;
+            // Flush per package: reader-driven backpressure, as on TCP.
+            writer.flush()?;
         }
-        write!(writer, "{:x}\r\n", package.len())?;
-        writer.write_all(&package)?;
-        writer.write_all(b"\r\n")?;
-        // Flush per package: reader-driven backpressure, as on TCP.
-        writer.flush()?;
+        stream.recycle(package);
     }
     if !stream.is_complete() {
         // No terminal chunk: the error closes the connection, and the

@@ -288,6 +288,7 @@ fn stream_range<W: Write + Send>(
         // Flush per package so slow readers exert backpressure on
         // their own request window, not on a server-side buffer.
         flush(sink)?;
+        stream.recycle(package);
     }
     if !stream.is_complete() {
         return Err(AnswerError::Request(SubmitError::Incomplete.to_string()));

@@ -5,10 +5,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Loom models of the scheduler handoff (ticket queue, bounded channel,
-# BufferPool/ReorderBuffer). The in-tree loom shim explores interleavings
-# by reseeding a deterministic yield schedule per iteration; raise
-# LOOM_MAX_ITERS for a deeper search.
+# Loom models of the worker pool that run_project and the row service
+# share (a two-job batch run, contended serve clients, cursor admission),
+# plus the handoff primitives the benchmark replay and the A/B bench drive
+# (ticket counter, bounded channel, BufferPool/ReorderBuffer). The in-tree
+# loom shim explores interleavings by reseeding a deterministic yield
+# schedule per iteration; raise LOOM_MAX_ITERS for a deeper search.
 echo "== loom models (LOOM_MAX_ITERS=${LOOM_MAX_ITERS:-64})"
 RUSTFLAGS="--cfg loom" cargo test -p pdgf-output -p pdgf-runtime --test loom
 
