@@ -104,6 +104,44 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// The checked-out commit, read from `.git` in the working directory
+/// (`"unknown"` outside a checkout), suffixed `-dirty` when
+/// `git diff --quiet HEAD` reports uncommitted changes to tracked files,
+/// so numbers measured on an uncommitted tree are not credited to the
+/// commit it is based on. Without a git binary the suffix is left off.
+pub fn git_rev() -> String {
+    let rev = head_commit();
+    let dirty = rev != "unknown"
+        && std::process::Command::new("git")
+            .args(["diff", "--quiet", "HEAD"])
+            .stderr(std::process::Stdio::null())
+            .status()
+            .is_ok_and(|s| s.code() == Some(1));
+    if dirty {
+        format!("{rev}-dirty")
+    } else {
+        rev
+    }
+}
+
+fn head_commit() -> String {
+    let head = std::fs::read_to_string(".git/HEAD").unwrap_or_default();
+    let head = head.trim();
+    if let Some(reference) = head.strip_prefix("ref: ") {
+        if let Ok(rev) = std::fs::read_to_string(format!(".git/{reference}")) {
+            return rev.trim().to_string();
+        }
+        let packed = std::fs::read_to_string(".git/packed-refs").unwrap_or_default();
+        if let Some(line) = packed.lines().find(|l| l.ends_with(reference)) {
+            return line.split(' ').next().unwrap_or("unknown").to_string();
+        }
+    }
+    if head.len() == 40 {
+        return head.to_string();
+    }
+    "unknown".to_string()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

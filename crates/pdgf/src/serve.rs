@@ -20,11 +20,11 @@
 //!   with keep-alive and chunked transfer streamed package-by-package,
 //!   for clients that want no SDK at all.
 //!
-//! Both share connection admission (`max_connections`), socket
-//! timeouts, and the [`ModelRegistry`](registry::ModelRegistry): every
-//! registered model is a named slot on the same [`RowService`], so
-//! `tpch` and `ssb` can be served from one deployment, as BDGS
-//! prescribes.
+//! Both share connection admission (`max_connections`), one connection
+//! setup at accept (`TCP_NODELAY` plus the socket timeouts), and the
+//! [`ModelRegistry`](registry::ModelRegistry): every registered model is
+//! a named slot on the same [`RowService`], so `tpch` and `ssb` can be
+//! served from one deployment, as BDGS prescribes.
 //!
 //! Ranges wider than the service's `max_request_rows` cap are clamped,
 //! not refused: the response carries the first tile plus an opaque
@@ -223,8 +223,11 @@ impl ServerShared {
         self.active.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Apply the configured socket timeouts to one connection.
-    pub(crate) fn apply_timeouts(&self, stream: &TcpStream) {
+    /// Set up one accepted connection, for both protocols: `TCP_NODELAY`
+    /// (a response's small trailing frame must not wait for the peer's
+    /// delayed ACK) and the configured socket timeouts.
+    pub(crate) fn setup_connection(&self, stream: &TcpStream) {
+        let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(self.read_timeout);
         let _ = stream.set_write_timeout(self.write_timeout);
     }
@@ -362,8 +365,11 @@ impl Server {
     }
 }
 
-/// One protocol's accept loop: admission, then one handler thread per
-/// connection. `handle` is the protocol's connection function.
+/// One protocol's accept loop: connection setup, admission, then one
+/// handler thread per connection. `handle` is the protocol's connection
+/// function. This is the only caller of both protocols'
+/// `handle_connection`, so no connection reaches a handler without
+/// [`ServerShared::setup_connection`].
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<ServerShared>,
@@ -375,6 +381,7 @@ fn accept_loop(
             break;
         }
         let Ok(stream) = conn else { continue };
+        shared.setup_connection(&stream);
         if !shared.admit() {
             refuse(stream);
             continue;
@@ -514,4 +521,77 @@ pub(crate) fn stats_json(s: &ServeStats) -> String {
         s.latency.p95_ns,
         s.latency.p99_ns,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Pdgf;
+    use std::sync::mpsc;
+    use std::sync::Mutex;
+
+    const MODEL: &str = r#"
+<schema name="setup">
+  <seed>7</seed>
+  <rng name="PdgfDefaultRandom"/>
+  <table name="t">
+    <size>10</size>
+    <field name="id" type="BIGINT" primary="true"><gen_IdGenerator/></field>
+  </table>
+</schema>"#;
+
+    /// A handled stream's nodelay flag and read/write timeouts.
+    type Setup = (bool, Option<Duration>, Option<Duration>);
+
+    /// Where [`record_setup`] reports; a plain `fn` handler cannot
+    /// capture a channel.
+    static SEEN: Mutex<Option<mpsc::Sender<Setup>>> = Mutex::new(None);
+
+    /// A connection handler that only reports how its stream was set up.
+    fn record_setup(_: &ServerShared, stream: TcpStream) -> std::io::Result<()> {
+        let setup = (
+            stream.nodelay()?,
+            stream.read_timeout()?,
+            stream.write_timeout()?,
+        );
+        if let Some(tx) = SEEN.lock().unwrap().as_ref() {
+            let _ = tx.send(setup);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn accepted_connections_get_nodelay_and_the_configured_timeouts() {
+        let runtime = Pdgf::from_xml_str(MODEL)
+            .unwrap()
+            .build()
+            .unwrap()
+            .into_runtime();
+        let options = ServerOptions::builder()
+            .read_timeout(Duration::from_secs(7))
+            .write_timeout(Duration::from_secs(11))
+            .build()
+            .unwrap();
+        let Server {
+            listener, shared, ..
+        } = Server::bind(Arc::new(runtime), "127.0.0.1:0", options, None).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = mpsc::channel();
+        *SEEN.lock().unwrap() = Some(tx);
+        let loop_shared = Arc::clone(&shared);
+        let accepting = std::thread::spawn(move || {
+            accept_loop(&listener, &loop_shared, record_setup, tcp::refuse)
+        });
+
+        let _client = TcpStream::connect(addr).unwrap();
+        let seen = rx.recv_timeout(Duration::from_secs(10));
+        shared.stopping.store(true, Ordering::Release);
+        let _ = TcpStream::connect(addr);
+        accepting.join().unwrap();
+
+        let (nodelay, read, write) = seen.expect("the handler saw the connection");
+        assert!(nodelay);
+        assert_eq!(read, Some(Duration::from_secs(7)));
+        assert_eq!(write, Some(Duration::from_secs(11)));
+    }
 }

@@ -115,8 +115,8 @@ pub(crate) fn refuse(stream: TcpStream) {
 
 /// One connection: read `Q` frames, answer each, until EOF or error.
 /// A socket-timeout expiry (idle keep-alive client) closes quietly.
+/// The stream arrives set up by the accept loop (nodelay, timeouts).
 pub(crate) fn handle_connection(shared: &ServerShared, stream: TcpStream) -> std::io::Result<()> {
-    shared.apply_timeouts(&stream);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut sink = StreamSink::new(BufWriter::with_capacity(1 << 16, stream));
     loop {
@@ -339,4 +339,62 @@ fn int32(word: &str, what: &str) -> Result<u32, AnswerError> {
 fn format_of(word: &str) -> Result<OutputFormat, AnswerError> {
     OutputFormat::parse(word)
         .ok_or_else(|| AnswerError::Request(format!("unknown format {word:?}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::io;
+
+    fn frame(len: u32, tag: u8, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = len.to_be_bytes().to_vec();
+        bytes.push(tag);
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn oversized_length_is_rejected_before_the_payload_is_read() {
+        for len in [MAX_REQUEST_FRAME + 1, u32::MAX] {
+            let mut reader = io::Cursor::new(frame(len, TAG_QUERY, b"PING"));
+            let err = read_frame(&mut reader, MAX_REQUEST_FRAME).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            // Only the 5-byte header was consumed: the cap is checked
+            // before any payload buffer is sized from the declared length.
+            assert_eq!(reader.position(), 5);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+            let mut reader = io::Cursor::new(bytes);
+            while let Ok((_, payload)) = read_frame(&mut reader, MAX_REQUEST_FRAME) {
+                prop_assert!(payload.len() <= MAX_REQUEST_FRAME as usize);
+            }
+        }
+
+        #[test]
+        fn declared_lengths_are_honoured_or_rejected(
+            small in 0u32..80,
+            large in any::<u32>(),
+            pick_small in any::<bool>(),
+            payload in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let len = if pick_small { small } else { large };
+            let mut reader = io::Cursor::new(frame(len, TAG_QUERY, &payload));
+            match read_frame(&mut reader, MAX_REQUEST_FRAME) {
+                Ok((_, got)) => prop_assert_eq!(got.as_slice(), &payload[..len as usize]),
+                Err(e) if len > MAX_REQUEST_FRAME => {
+                    prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                    prop_assert_eq!(reader.position(), 5);
+                }
+                Err(e) => {
+                    prop_assert!(len as usize > payload.len());
+                    prop_assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+                }
+            }
+        }
+    }
 }
